@@ -10,6 +10,7 @@ failure, 4 violated precondition, 5 exceeded budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -33,6 +34,7 @@ from .jsonio import (
 )
 from .necklace import verify_discrete
 from .paths import (
+    PAIR_BUDGET,
     STATE_BUDGET,
     ColoredPath,
     iter_colorings,
@@ -71,7 +73,7 @@ def _certify(violations: list[str]) -> dict[str, Any]:
 
 def cmd_split_path(args: argparse.Namespace) -> dict[str, Any]:
     path = _read_instance(args, "path").path()
-    split = solve_pair_split(path)
+    split = solve_pair_split(path, budget=args.budget)
     out = pair_split_to_json(split)
     out["certificate"] = _certify(verify_pair_split(path, split))
     return out
@@ -79,7 +81,7 @@ def cmd_split_path(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_split_cycle(args: argparse.Namespace) -> dict[str, Any]:
     path = _read_instance(args, "cycle").path()
-    split = solve_cycle_split(path)
+    split = solve_cycle_split(path, budget=args.budget)
     out = cycle_split_to_json(split)
     out["certificate"] = _certify(verify_cycle_split(path, split))
     return out
@@ -100,17 +102,13 @@ def cmd_split_stable(args: argparse.Namespace) -> dict[str, Any]:
     if q is None:
         raise SchemaError("split-stable needs q (in the file or via --q)")
     if q & (q - 1) == 0:
-        split = solve_qstable_power2(path, q)
+        budget = args.budget if args.budget is not None else PAIR_BUDGET
+        split = solve_qstable_power2(path, q, budget=budget)
         method = "composition"
     else:
         budget = args.budget if args.budget is not None else STATE_BUDGET
-        states = (q + 1) ** path.n
-        if states > budget:
-            raise BudgetExceededError(
-                f"brute force would scan {states} assignments, budget is {budget}"
-            )
         split = solve_qstable_bruteforce(
-            path, q, enforce_upper=args.enforce_upper, force=True
+            path, q, enforce_upper=args.enforce_upper, budget=budget
         )
         method = "bruteforce"
     if split is None:
@@ -182,7 +180,7 @@ def cmd_conjecture_scan(args: argparse.Namespace) -> dict[str, Any]:
                 skipped += 1
                 continue
             scanned += 1
-            split = solve_qstable_bruteforce(path, q, force=True)
+            split = solve_qstable_bruteforce(path, q, budget=budget)
             if split is None:
                 counterexamples.append(
                     instance_to_json(Instance(kind="path", colors=path.colors, q=q))
@@ -219,7 +217,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="fairsplit",
         description="Fair splitting of colored paths, cycles, and necklaces.",
@@ -240,11 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("split-path", cmd_split_path,
-        "split a colored path into two independent sets, one removal per color")
-
-    add("split-cycle", cmd_split_cycle,
-        "split a colored cycle; one output set independent in the cycle")
+    for name, func, help_text in (
+        ("split-path", cmd_split_path,
+         "split a colored path into two independent sets, one removal per color"),
+        ("split-cycle", cmd_split_cycle,
+         "split a colored cycle; one output set independent in the cycle"),
+    ):
+        p = add(name, func, help_text)
+        p.add_argument("--budget", type=_positive_int, default=PAIR_BUDGET, metavar="N",
+                       help=f"removal-vector budget for the pair-split search "
+                            f"(default {PAIR_BUDGET})")
 
     p = add("split-necklace", cmd_split_necklace,
             "fair whole-bead necklace splitting with chosen advantaged thieves")
@@ -258,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enforce-upper", action="store_true",
                    help="also require the per-color upper bound")
     p.add_argument("--budget", type=_positive_int, metavar="N",
-                   help="assignment budget for the brute-force fallback")
+                   help=f"removal vectors per pair split for powers of two "
+                        f"(default {PAIR_BUDGET}), otherwise worst-case "
+                        f"brute-force assignments (default {STATE_BUDGET})")
 
     add("tucker-check", cmd_tucker_check,
         "machine-check the path labeling against the octahedral Tucker lemma")

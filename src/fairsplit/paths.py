@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
@@ -35,6 +36,7 @@ from .errors import BudgetExceededError, InternalInvariantError, PreconditionErr
 logger = logging.getLogger(__name__)
 
 STATE_BUDGET = 10**8
+PAIR_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -116,43 +118,76 @@ class CycleSplit:
     max_extra_edges: int
 
 
-def solve_pair_split(path: ColoredPath) -> PairSplit:
+def solve_pair_split(path: ColoredPath, *, budget: int = PAIR_BUDGET) -> PairSplit:
     """Find a pair split of the colored path.
 
     Enumerates removal vectors (one vertex per color, in lexicographic
-    order over the sorted classes) and, for each, the two alternating
-    sign assignments of the surviving vertices; returns the first
-    assignment whose per-color counts stay at or below |V_j|/2.  The
-    construction makes independence, the size balance and the per-color
-    coverage automatic, so that count bound is the only thing checked.
-    A valid split always exists, so exhausting the search is an
-    internal error.
+    order over the sorted classes) and returns the first one whose
+    survivors, read in path order and dealt alternately to S_1 and S_2
+    (the first survivor to S_1), leave each side at most |V_j|/2 of
+    every color j.  The alternation makes independence, the size balance
+    and the per-color coverage automatic, so that count bound is the
+    only thing checked.
+
+    A candidate is tested without building its sides.  Let
+    E_j[v] = sum of (-1)^u over the vertices u <= v of color j, sort the
+    removals p_1 < ... < p_m and set p_0 = 0, p_{m+1} = n+1.  A survivor
+    u between p_k and p_{k+1} is the (u-k)-th survivor and goes to S_1
+    iff u-k is odd, so the side difference of color j is
+
+        D_j = |S_1 & V_j| - |S_2 & V_j|
+            = -sum_{k=0..m} (-1)^k (E_j[p_{k+1}-1] - E_j[p_k]),
+
+    and since |S_1 & V_j| + |S_2 & V_j| = |V_j| - 1, the count bound
+    holds iff |D_j| <= 1.  Only E_j[p-1] is read: E_j[p] differs from
+    it at the removal of color j alone, by (-1)^p.  E_j is stored as
+    prefix sums over the class V_j and read by bisection, so the tables
+    take O(n) memory and a candidate costs O(m log n) per color; colors
+    are tested in turn and the first failing one ends the test.  The
+    sides are built once, for the winning removal vector.
+
+    Each candidate is charged to ``budget`` before it is tested; when
+    the budget is spent the search stops with ``BudgetExceededError``,
+    naming how many candidates it examined.  A valid split always
+    exists, so exhausting the search is an internal error.
     """
     classes = path.classes
-    sizes = path.class_sizes
-    color_of = path.colors
     m = path.m
-    for removal in itertools.product(*classes):
-        removed = frozenset(removal)
-        survivors = [v for v in range(1, path.n + 1) if v not in removed]
-        for phase in (1, -1):
-            counts = [[0] * m, [0] * m]
-            side1: list[int] = []
-            side2: list[int] = []
-            sign = phase
-            for v in survivors:
-                side = 0 if sign == 1 else 1
-                (side1 if side == 0 else side2).append(v)
-                counts[side][color_of[v - 1] - 1] += 1
+    # per color: its index, its class, acc[i] = E_j at the i-th vertex of
+    # the class (acc[0] = 0, so acc[bisect_left(cls, p)] = E_j[p-1]), and
+    # the upper end of the k = m term, (-1)^(m+1) E_j[n]
+    tables = []
+    for j, cls in enumerate(classes):
+        acc = [0]
+        for u in cls:
+            acc.append(acc[-1] + (1 if u % 2 == 0 else -1))
+        tables.append((j, cls, acc, acc[-1] if m % 2 else -acc[-1]))
+    for examined, removal in enumerate(itertools.product(*classes)):
+        if examined >= budget:
+            raise BudgetExceededError(
+                f"pair-split search examined {examined} removal vectors, "
+                f"budget is {budget}"
+            )
+        order = sorted(removal)
+        for j, cls, acc, d in tables:
+            # p_k closes run k-1 through E_j[p_k - 1] and opens run k
+            # through E_j[p_k], both with sign (-1)^k
+            sign = -2
+            for p in order:
+                d += sign * acc[bisect_left(cls, p)]
                 sign = -sign
-            if all(
-                2 * max(counts[0][j], counts[1][j]) <= sizes[j] for j in range(m)
-            ):
-                return PairSplit(
-                    removed={j + 1: removal[j] for j in range(m)},
-                    s1=frozenset(side1),
-                    s2=frozenset(side2),
-                )
+            own = removal[j]
+            d += 1 if (order.index(own) + own) % 2 else -1
+            if d > 1 or d < -1:
+                break
+        else:
+            removed = set(removal)
+            survivors = [v for v in range(1, path.n + 1) if v not in removed]
+            return PairSplit(
+                removed={j + 1: removal[j] for j in range(m)},
+                s1=frozenset(survivors[0::2]),
+                s2=frozenset(survivors[1::2]),
+            )
     raise InternalInvariantError("no pair split found; one must always exist")
 
 
@@ -201,16 +236,17 @@ def verify_pair_split(path: ColoredPath, cand: PairSplit) -> list[str]:
     return violations
 
 
-def solve_cycle_split(path: ColoredPath) -> CycleSplit:
+def solve_cycle_split(path: ColoredPath, *, budget: int = PAIR_BUDGET) -> CycleSplit:
     """Split a colored cycle by cutting the edge {n, 1} and splitting the path.
 
     One output class is always independent in the cycle and has size
     floor((n-m)/2); the other induces at most one cycle edge when n-m
     is odd and none when n-m is even.  Both facts are asserted.
+    ``budget`` bounds the pair-split search as in ``solve_pair_split``.
     """
     if path.n < 3:
         raise PreconditionError("a cycle needs at least three vertices")
-    split = solve_pair_split(path)
+    split = solve_pair_split(path, budget=budget)
     n, m = path.n, path.m
     induced = tuple(_cycle_edges_within(s, n) for s in (split.s1, split.s2))
     k = n - m
@@ -254,7 +290,7 @@ def enumerate_qstable_splits(
     *,
     enforce_upper: bool = False,
     require_lower: bool = True,
-    force: bool = False,
+    budget: int = STATE_BUDGET,
 ) -> Iterator[StableSplit]:
     """All q-stable splits, in lexicographic order of the assignment vector.
 
@@ -263,18 +299,20 @@ def enumerate_qstable_splits(
     class-size ceiling or (optionally) the per-color bounds are pruned.
     ``require_lower=False`` drops the per-color lower bound, which is
     useful for enumerating every stability/balance-feasible split.
+    The search is refused with ``BudgetExceededError`` when its worst
+    case, (q+1)^n assignments, exceeds ``budget``.
     """
     if q < 1:
         raise PreconditionError("q must be at least 1")
     n, m = path.n, path.m
+    states = (q + 1) ** n
+    if states > budget:
+        raise BudgetExceededError(
+            f"brute force would scan {states} assignments, budget is {budget}"
+        )
     sizes = path.class_sizes
     if any(s < q - 1 for s in sizes):
         raise PreconditionError(f"every color needs at least q-1={q - 1} vertices")
-    if (q + 1) ** n > STATE_BUDGET and not force:
-        raise BudgetExceededError(
-            f"(q+1)^n = {(q + 1) ** n} assignment states exceed the "
-            f"{STATE_BUDGET} budget; pass force=True to run anyway"
-        )
 
     color_of = path.colors
     covered = n - (q - 1) * m
@@ -348,16 +386,17 @@ def _snapshot(path: ColoredPath, q: int, assign: Sequence[int]) -> StableSplit:
 
 
 def solve_qstable_bruteforce(
-    path: ColoredPath, q: int, enforce_upper: bool = False, *, force: bool = False
+    path: ColoredPath, q: int, enforce_upper: bool = False, *, budget: int = STATE_BUDGET
 ) -> StableSplit | None:
     """First q-stable split in assignment order, or None if none exists.
 
+    ``budget`` caps the worst case as in ``enumerate_qstable_splits``.
     A None at any feasible size would falsify the splitting conjecture,
     so it is logged loudly before being returned.
     """
     found = next(
         enumerate_qstable_splits(
-            path, q, enforce_upper=enforce_upper, require_lower=True, force=force
+            path, q, enforce_upper=enforce_upper, require_lower=True, budget=budget
         ),
         None,
     )
@@ -486,8 +525,13 @@ def _induced_subpath(
     return ColoredPath(colors), back
 
 
-def solve_qstable_power2(path: ColoredPath, q: int) -> StableSplit:
-    """Stable split for q a power of two, via repeated pair splitting."""
+def solve_qstable_power2(
+    path: ColoredPath, q: int, *, budget: int = PAIR_BUDGET
+) -> StableSplit:
+    """Stable split for q a power of two, via repeated pair splitting.
+
+    Every pair split it runs gets ``budget`` removal vectors of its own.
+    """
     if q < 1 or q & (q - 1):
         raise PreconditionError(f"q={q} is not a power of two")
     if q == 1:
@@ -497,8 +541,10 @@ def solve_qstable_power2(path: ColoredPath, q: int) -> StableSplit:
             classes=(frozenset(range(1, path.n + 1)),),
         )
     if q == 2:
-        return pair_split_as_stable(solve_pair_split(path), path)
-    return compose_splits(path, 2, q // 2, solve_qstable_power2)
+        return pair_split_as_stable(solve_pair_split(path, budget=budget), path)
+    return compose_splits(
+        path, 2, q // 2, partial(solve_qstable_power2, budget=budget)
+    )
 
 
 def floor_ceil_identities(a: int, b: int, c: int) -> tuple[bool, bool]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fairsplit.cli import main
+from fairsplit.cli import build_parser, main
 from fairsplit.jsonio import (
     cycle_split_from_json,
     pair_split_from_json,
@@ -179,6 +179,41 @@ def test_split_stable_budget_exit_5(capsys):
         "--budget", "1",
     )
     assert code == 5 and "budget" in err
+
+
+@pytest.mark.parametrize("command, kind, flags", [
+    ("split-path", "path", []),
+    ("split-cycle", "cycle", []),
+    ("split-stable", "path", ["--q", "4"]),
+])
+def test_pair_split_budget_exit_5(capsys, tmp_path, command, kind, flags):
+    # the lex-first pair split of this path is the third removal vector
+    target = tmp_path / "instance.json"
+    target.write_text(json.dumps({"kind": kind, "colors": [1, 1, 2, 2, 1, 2]}))
+    code, _, err = run(capsys, command, "--input", str(target), *flags, "--budget", "1")
+    assert code == 5 and "budget" in err and "Traceback" not in err
+    code, _, _ = run(capsys, command, "--input", str(target), *flags)
+    assert code == 0
+
+
+def test_repeated_main_calls_share_no_state(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    target = tmp_path / "result.json"
+    code, _, _ = run(
+        capsys,
+        "split-path", "--input", fixture("path_small.json"), "--json-out", str(target),
+    )
+    assert code == 0 and target.exists()
+    target.unlink()
+    code, _, _ = run(capsys, "split-path", "--input", fixture("path_small.json"))
+    assert code == 0 and not target.exists()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["split-path"])  # --input missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "split-path", "--input", fixture("path_small.json"))
+    assert code == 0 and out["removed"] == {"1": 1, "2": 3}
 
 
 def test_tucker_check(capsys):

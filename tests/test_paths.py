@@ -8,6 +8,7 @@ q-stable enumerator is compared item by item against a filter over all
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -162,6 +163,34 @@ def test_pair_split_sweep_matches_documented_search():
             survivors = sorted(split.s1 | split.s2)
             sides = [1 if v in split.s1 else 2 for v in survivors]
             assert all(a != b for a, b in zip(sides, sides[1:])), colors
+
+
+def test_pair_split_random_paths_match_documented_search():
+    rng = random.Random(2)
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        raw = [rng.randint(1, m) for _ in range(rng.randint(10, 40))]
+        relabel = {}
+        colors = tuple(relabel.setdefault(c, len(relabel) + 1) for c in raw)
+        split = solve_pair_split(ColoredPath(colors))
+        oracle = documented_search_oracle(colors)
+        assert (dict(split.removed), split.s1, split.s2) == (
+            dict(oracle.removed), oracle.s1, oracle.s2), colors
+
+
+def test_pair_split_thousand_vertices():
+    rng = random.Random(7)
+    path = ColoredPath(tuple(rng.randint(1, 5) for _ in range(1000)))
+    assert path.m == 5
+    assert verify_pair_split(path, solve_pair_split(path)) == []
+
+
+def test_pair_split_budget_counts_removal_vectors():
+    # the first two removal vectors fail, the third succeeds
+    path = ColoredPath((1, 1, 2, 2, 1, 2))
+    with pytest.raises(BudgetExceededError, match="examined 2 removal vectors"):
+        solve_pair_split(path, budget=2)
+    assert verify_pair_split(path, solve_pair_split(path, budget=3)) == []
 
 
 def test_pair_split_output_among_all_valid_splits():
