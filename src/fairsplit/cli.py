@@ -32,7 +32,7 @@ from .jsonio import (
     pair_split_to_json,
     stable_split_to_json,
 )
-from .necklace import verify_discrete
+from .necklace import CONTINUOUS_BUDGET, verify_discrete
 from .paths import (
     PAIR_BUDGET,
     STATE_BUDGET,
@@ -254,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("split-necklace", cmd_split_necklace,
             "fair whole-bead necklace splitting with chosen advantaged thieves")
     p.add_argument("--q", type=_q_at_least_2, help="number of thieves (overrides the file)")
-    p.add_argument("--budget", type=_positive_int, metavar="N",
-                   help="candidate budget for the continuous search")
+    p.add_argument("--budget", type=_positive_int, default=CONTINUOUS_BUDGET, metavar="N",
+                   help=f"node budget for the depth-first necklace search "
+                        f"(default {CONTINUOUS_BUDGET})")
 
     p = add("split-stable", cmd_split_stable,
             "q-stable split of a colored path (composition for powers of two)")

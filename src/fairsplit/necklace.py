@@ -9,33 +9,35 @@ advantage assignment picks, for every color with a_j mod q != 0,
 exactly (a_j mod q) advantaged thieves.
 
 A continuous splitting instead cuts the necklace at rational positions
-and gives every thief exactly a_j/q of each color.  ``search_continuous``
-finds one with at most (q-1)m cuts by exhausting owner patterns and
-cut placements; ``search_discrete`` is the independent brute-force
-oracle for whole-bead splittings.  All continuous arithmetic is exact
+and gives every thief exactly a_j/q of each color.  Both searches run
+one left-to-right depth-first search over owner vectors, fewest cuts
+first.  ``search_discrete`` runs it on the necklace itself with the
+floor/ceil targets of an advantage assignment.  ``search_continuous``
+runs it on the q-refined necklace, where every bead is cut into q
+sub-beads: color j then has q*a_j sub-beads, and by Alon (1987,
+*Splitting necklaces*) a split giving every thief a_j of them with at
+most (q-1)m cuts exists.  Its cuts sit at multiples of 1/q, so it is
+an exact continuous splitting without any linear solve.  Every search
+node costs one unit of budget; running out is reported as such, never
+as nonexistence.  All continuous arithmetic is exact
 (fractions.Fraction).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import ceil, comb, floor
-from typing import Iterable, Iterator, Mapping
-
-import numpy as np
+from functools import cached_property
+from math import ceil, floor
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InternalInvariantError, SchemaError
-from .linsolve import find_rational_point
+
+# not called here; kept because perfbench/tracing.py patches this name
+from .linsolve import find_rational_point  # noqa: F401
 
 CONTINUOUS_BUDGET = 10**6
-DISCRETE_BUDGET = 10**8
-
-# slack for the float prefilters; anything this close to feasible goes
-# to the exact solver, so the tolerance only affects speed
-_EPS = 1e-6
+DISCRETE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -170,22 +172,96 @@ def verify_discrete(
     return violations
 
 
-def _owner_patterns(q: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All thief sequences of the given length with distinct neighbors, lex order."""
-    prefix: list[int] = []
+def _first_owner(
+    beads: Sequence[int],
+    target: Sequence[Sequence[int]],
+    min_cuts: int,
+    max_cuts: int,
+    budget: int,
+) -> tuple[int, ...] | None:
+    """First owner vector meeting the targets exactly, fewest cuts first.
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for t in range(1, q + 1):
-            if prefix and prefix[-1] == t:
+    Thief t must receive exactly target[t-1][j-1] beads of color j, and
+    the rows must add up to the bead counts of each color.  Returns the
+    thief (1..q) of every bead, or None when no owner vector with at
+    most max_cuts cuts exists.  Cut limits run from min_cuts up; under
+    each limit the search gives bead after bead first to the thief
+    holding the previous bead, then to the other thieves in ascending
+    order.  It prunes a thief taking more than its target of a color,
+    a cut count that leaves too few cuts for every thief other than the
+    current one who is still owed beads, and a thief holding nothing
+    whose target row equals that of a lower-numbered thief also holding
+    nothing (swapping the two gives an earlier owner vector, so no
+    first solution is lost).  Every node costs one unit of ``budget``
+    before it is expanded; the stack is explicit and nothing is
+    memoized.
+    """
+    n, q = len(beads), len(target)
+    colors = [c - 1 for c in beads]
+    totals = [sum(row) for row in target]
+    twins = [[s for s in range(t) if target[s] == target[t]] for t in range(q)]
+    # orders[p]: the thieves to try after a bead held by p, keeping p
+    # first; orders[q] serves the first bead, which has no holder before it
+    orders = [[p, *(t for t in range(q) if t != p)] for p in range(q)]
+    orders.append(list(range(q)))
+    nodes = 0
+
+    for limit in range(min_cuts, max_cuts + 1):
+        owed = [list(row) for row in target]
+        left = totals[:]
+        owing = sum(1 for x in left if x)
+        # every owed thief but the first needs a cut; each move below
+        # keeps cuts + owing - 1 <= limit, so only switches are checked
+        if owing - 1 > limit:
+            continue
+        # held[d] holds the thief of bead d-1; held[0] is the sentinel q
+        held = [q] * (n + 1)
+        tried = [0] * (n + 1)
+        cuts = d = 0
+        while True:
+            if d == n:
+                return tuple(t + 1 for t in held[1:])
+            k = tried[d]
+            if k == 0:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceededError(
+                        f"necklace search passed {budget} candidates (search "
+                        "nodes) without finishing; this bounds effort, it does "
+                        "not mean no splitting exists"
+                    )
+            if k == q:
+                if d == 0:
+                    break
+                d -= 1
+                t = held[d + 1]
+                if not left[t]:
+                    owing += 1
+                left[t] += 1
+                owed[t][colors[d]] += 1
+                if d and held[d] != t:
+                    cuts -= 1
                 continue
-            prefix.append(t)
-            yield from rec()
-            prefix.pop()
-
-    yield from rec()
+            tried[d] = k + 1
+            prev = held[d]
+            t = orders[prev][k]
+            switch = d > 0 and t != prev
+            if switch and cuts + owing > limit:
+                tried[d] = q
+                continue
+            if not owed[t][colors[d]]:
+                continue
+            if left[t] == totals[t] and any(left[s] == totals[s] for s in twins[t]):
+                continue
+            owed[t][colors[d]] -= 1
+            left[t] -= 1
+            if not left[t]:
+                owing -= 1
+            cuts += switch
+            d += 1
+            held[d] = t
+            tried[d] = 0
+    return None
 
 
 def search_discrete(
@@ -196,73 +272,28 @@ def search_discrete(
 ) -> DiscreteSplitting | None:
     """First fair whole-bead splitting with at most max_cuts cuts, or None.
 
-    Enumerates cut counts ascending; for each count, owner patterns in
-    lexicographic order and, per pattern, cut position sets in
-    lexicographic order.  Serves as the independent oracle against
-    which the continuous-rounding pipeline is checked.
+    Thief t gets exactly floor(a_j/q) beads of color j, plus one when t
+    is advantaged for j.  The depth-first search of ``_first_owner``
+    tries cut counts ascending, so the result has the fewest cuts
+    possible; within a count, every bead goes first to the thief
+    holding the bead before it, then to the others in ascending order.
+    ``budget`` bounds the search nodes across all cut counts.  Serves
+    as the independent oracle against which the continuous-rounding
+    pipeline is checked.
     """
     adv = normalize_advantages(neck, advantages)
-    n, m, q = neck.n, neck.m, neck.q
-    top = min(max_cuts, n - 1)
-    states = sum(comb(n - 1, c) * q ** (c + 1) for c in range(top + 1))
-    if states > budget:
-        raise BudgetExceededError(
-            f"{states} cutset/owner states exceed the {budget} budget"
-        )
-
-    target = np.zeros((q, m), dtype=np.int64)
-    for j in range(1, m + 1):
-        base = neck.a[j - 1] // q
-        for t in range(1, q + 1):
-            target[t - 1, j - 1] = base + (1 if t in adv.get(j, ()) else 0)
-    prefix = np.zeros((m, n + 1), dtype=np.int64)
-    for k, c in enumerate(neck.beads, start=1):
-        prefix[:, k] = prefix[:, k - 1]
-        prefix[c - 1, k] += 1
-
-    for c in range(top + 1):
-        combos = list(itertools.combinations(range(1, n), c))
-        # reshape by explicit count: for c=0 the single empty combo has size
-        # zero and a -1 row dimension cannot be inferred from it
-        cutsets = np.array(combos, dtype=np.int64).reshape(len(combos), c)
-        ext = np.hstack(
-            [
-                np.zeros((len(cutsets), 1), dtype=np.int64),
-                cutsets,
-                np.full((len(cutsets), 1), n, dtype=np.int64),
-            ]
-        )
-        # piece_counts[i, p, j] = beads of color j+1 in piece p of cutset i
-        piece_counts = (
-            prefix[:, ext[:, 1:]] - prefix[:, ext[:, :-1]]
-        ).transpose(1, 2, 0)
-        for pattern in _owner_patterns(q, c + 1):
-            present = set(pattern)
-            if any(
-                target[t - 1].any() for t in range(1, q + 1) if t not in present
-            ):
-                continue
-            ok = np.ones(len(cutsets), dtype=bool)
-            for t in present:
-                idx = [i for i, o in enumerate(pattern) if o == t]
-                got = piece_counts[:, idx, :].sum(axis=1)
-                ok &= (got == target[t - 1]).all(axis=1)
-                if not ok.any():
-                    break
-            hits = np.flatnonzero(ok)
-            if hits.size:
-                cuts = cutsets[hits[0]]
-                owner: list[int] = []
-                bounds = [0, *cuts.tolist(), n]
-                for p, t in enumerate(pattern):
-                    owner.extend([t] * (bounds[p + 1] - bounds[p]))
-                found = DiscreteSplitting(tuple(owner))
-                if verify_discrete(neck, advantages, found):
-                    raise InternalInvariantError(
-                        "discrete search accepted an unfair candidate"
-                    )
-                return found
-    return None
+    q = neck.q
+    target = [
+        [aj // q + (t in adv.get(j, ())) for j, aj in enumerate(neck.a, start=1)]
+        for t in range(1, q + 1)
+    ]
+    owner = _first_owner(neck.beads, target, 0, min(max_cuts, neck.n - 1), budget)
+    if owner is None:
+        return None
+    found = DiscreteSplitting(owner)
+    if verify_discrete(neck, advantages, found):
+        raise InternalInvariantError("discrete search accepted an unfair candidate")
+    return found
 
 
 @dataclass(frozen=True)
@@ -335,204 +366,34 @@ def verify_continuous(neck: Necklace, cont: ContinuousSplitting) -> list[str]:
     return violations
 
 
-# Cut-placement cells: a cut either sits strictly inside bead k (cell
-# id 2k-1, open interval) or exactly on the boundary at integer b
-# (cell id 2b, pinned).  Cells are enumerated nondecreasing; a pinned
-# cell cannot repeat (two cuts at one point would leave an empty
-# segment), while an open cell can hold several strictly ordered cuts.
-
-
-@lru_cache(maxsize=None)
-def _cut_cells(n: int, ncuts: int) -> np.ndarray:
-    rows = [
-        combo
-        for combo in itertools.combinations_with_replacement(range(1, 2 * n), ncuts)
-        if not any(a == b and a % 2 == 0 for a, b in zip(combo, combo[1:]))
-    ]
-    return np.array(rows, dtype=np.int64).reshape(-1, ncuts)
-
-
-@lru_cache(maxsize=None)
-def _measure_tables(beads: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per color: least and greatest possible measure between two cells.
-
-    Entry [j, A, B] bounds the color-j content of a segment whose left
-    cut lies in cell A and right cut in cell B, using each cell's
-    extreme positions.  Summed per thief these give sound interval
-    bounds for pruning cut-cell assignments.
-    """
-    n = len(beads)
-    m = max(beads)
-    # half-integer grid: grid index g sits at position g/2, so each
-    # step crosses half of bead ceil(g/2)
-    fgrid = np.zeros((m, 2 * n + 1))
-    for g in range(1, 2 * n + 1):
-        j = beads[(g + 1) // 2 - 1] - 1
-        fgrid[:, g] = fgrid[:, g - 1]
-        fgrid[j, g] += 0.5
-    ids = np.arange(2 * n + 1)
-    inf_g = np.where(ids % 2 == 1, ids - 1, ids)
-    sup_g = np.where(ids % 2 == 1, ids + 1, ids)
-    lo = np.maximum(0.0, fgrid[:, inf_g][:, None, :] - fgrid[:, sup_g][:, :, None])
-    hi = np.maximum(0.0, fgrid[:, sup_g][:, None, :] - fgrid[:, inf_g][:, :, None])
-    return lo, hi
-
-
-@lru_cache(maxsize=None)
-def _color_prefix(beads: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """prefix[j][k] = beads of color j+1 among the first k beads."""
-    m = max(beads)
-    rows = [[0] for _ in range(m)]
-    for c in beads:
-        for j in range(m):
-            rows[j].append(rows[j][-1] + (1 if c - 1 == j else 0))
-    return tuple(tuple(r) for r in rows)
-
-
-def _solve_cells(
-    neck: Necklace, pattern: tuple[int, ...], cells: tuple[int, ...]
-) -> tuple[Fraction, ...] | None:
-    """Exact cut positions for one (pattern, cells) candidate, or None.
-
-    The fairness equations are linear in the positions of cuts lying
-    inside beads (boundary cuts are pinned constants).  A float solve
-    rejects clearly infeasible systems; anything borderline or
-    underdetermined goes to the exact rational solver.
-    """
-    m, q = neck.m, neck.q
-    prefix = _color_prefix(neck.beads)
-
-    var_of: dict[int, int | None] = {i: None for i in range(len(cells))}
-    nvars = 0
-    for i, cell in enumerate(cells):
-        if cell % 2 == 1:
-            var_of[i] = nvars
-            nvars += 1
-
-    eq_rows: list[tuple[list[Fraction], Fraction]] = []
-    for t in range(1, q + 1):
-        for j in range(m):
-            row = [Fraction(0)] * nvars
-            rhs = Fraction(neck.a[j], q)
-            if pattern[-1] == t:
-                rhs -= neck.a[j]
-            for i, cell in enumerate(cells):
-                w = (1 if pattern[i] == t else 0) - (1 if pattern[i + 1] == t else 0)
-                if w == 0:
-                    continue
-                if cell % 2 == 0:
-                    rhs -= w * prefix[j][cell // 2]
-                else:
-                    k = (cell + 1) // 2
-                    s = 1 if neck.beads[k - 1] - 1 == j else 0
-                    rhs -= w * (prefix[j][k - 1] - s * (k - 1))
-                    if s:
-                        row[var_of[i]] += w
-            eq_rows.append((row, rhs))
-
-    ineqs: list[tuple[list[Fraction], Fraction, bool]] = []
-    for i, cell in enumerate(cells):
-        if cell % 2 == 0:
-            continue
-        k = (cell + 1) // 2
-        v = var_of[i]
-        up = [Fraction(0)] * nvars
-        up[v] = Fraction(1)
-        ineqs.append((up, Fraction(k), True))
-        dn = [Fraction(0)] * nvars
-        dn[v] = Fraction(-1)
-        ineqs.append((dn, Fraction(-(k - 1)), True))
-        if i + 1 < len(cells) and cells[i + 1] == cell:
-            order = [Fraction(0)] * nvars
-            order[v] = Fraction(1)
-            order[var_of[i + 1]] = Fraction(-1)
-            ineqs.append((order, Fraction(0), True))
-
-    if nvars:
-        a_mat = np.array([[float(c) for c in row] for row, _ in eq_rows])
-        b_vec = np.array([float(rhs) for _, rhs in eq_rows])
-        sol, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-        if rank == nvars:
-            if np.max(np.abs(a_mat @ sol - b_vec)) > _EPS:
-                return None
-            margins = [
-                float(rhs) - sum(float(c) * x for c, x in zip(row, sol))
-                for row, rhs, _ in ineqs
-            ]
-            if margins and min(margins) < -_EPS:
-                return None
-
-    point = find_rational_point(eq_rows, ineqs, nvars)
-    if point is None:
-        return None
-    out: list[Fraction] = []
-    for i, cell in enumerate(cells):
-        out.append(Fraction(cell // 2) if cell % 2 == 0 else point[var_of[i]])
-    return tuple(out)
-
-
 def search_continuous(
     neck: Necklace, budget: int = CONTINUOUS_BUDGET
 ) -> ContinuousSplitting:
     """Continuous fair splitting with at most (q-1)m cuts.
 
-    Scans cut counts ascending from q-1; within a count, owner patterns
-    in lexicographic order, and cut-cell assignments in lexicographic
-    order per pattern.  Existence is guaranteed, so exhausting the
-    enumeration signals a defect; running past the candidate budget is
-    reported as such, never as nonexistence.
+    Cuts every bead into q sub-beads and asks ``_first_owner`` for a
+    whole-sub-bead split of this q-refined necklace that gives every
+    thief a_j sub-beads of color j, trying q-1 cuts up to (q-1)m.  By
+    Alon (1987) such a split exists, since every color count is now a
+    multiple of q.  A cut after sub-bead i becomes the cut at i/q.
+    Existence is guaranteed, so exhausting the search signals a defect;
+    running past ``budget`` search nodes is reported as such, never as
+    nonexistence.
     """
-    n, m, q = neck.n, neck.m, neck.q
-    lo_tab, hi_tab = _measure_tables(neck.beads)
-    targets = [neck.a[j] / q for j in range(m)]
-    examined = 0
-    for ncuts in range(q - 1, (q - 1) * m + 1):
-        combos = _cut_cells(n, ncuts)
-        if not combos.size and ncuts:
-            continue
-        ext = np.hstack(
-            [
-                np.zeros((len(combos), 1), dtype=np.int64),
-                combos,
-                np.full((len(combos), 1), 2 * n, dtype=np.int64),
-            ]
+    q = neck.q
+    refined = [c for c in neck.beads for _ in range(q)]
+    owner = _first_owner(refined, [neck.a] * q, q - 1, (q - 1) * neck.m, budget)
+    if owner is None:
+        raise InternalInvariantError(
+            "continuous search exhausted its enumeration; a fair splitting "
+            "always exists"
         )
-        seg_lo = [lo_tab[j][ext[:, :-1], ext[:, 1:]] for j in range(m)]
-        seg_hi = [hi_tab[j][ext[:, :-1], ext[:, 1:]] for j in range(m)]
-        thieves = set(range(1, q + 1))
-        for pattern in _owner_patterns(q, ncuts + 1):
-            if set(pattern) != thieves:
-                continue
-            examined += len(combos)
-            if examined > budget:
-                raise BudgetExceededError(
-                    f"continuous search passed {budget} candidates without "
-                    "finishing; this bounds effort, it does not mean no "
-                    "splitting exists"
-                )
-            mask = np.ones(len(combos), dtype=bool)
-            for t in range(1, q + 1):
-                idx = [i for i, o in enumerate(pattern) if o == t]
-                for j in range(m):
-                    lo_sum = seg_lo[j][:, idx].sum(axis=1)
-                    hi_sum = seg_hi[j][:, idx].sum(axis=1)
-                    mask &= (lo_sum <= targets[j] + _EPS) & (
-                        targets[j] <= hi_sum + _EPS
-                    )
-                if not mask.any():
-                    break
-            for ci in np.flatnonzero(mask):
-                cuts = _solve_cells(neck, pattern, tuple(combos[ci].tolist()))
-                if cuts is None:
-                    continue
-                cont = ContinuousSplitting(cuts=cuts, owners=pattern)
-                bad = verify_continuous(neck, cont)
-                if bad:
-                    raise InternalInvariantError(
-                        f"continuous candidate failed verification: {bad}"
-                    )
-                return cont
-    raise InternalInvariantError(
-        "continuous search exhausted its enumeration; a fair splitting "
-        "always exists"
+    switches = [i for i in range(1, len(owner)) if owner[i - 1] != owner[i]]
+    cont = ContinuousSplitting(
+        cuts=tuple(Fraction(i, q) for i in switches),
+        owners=(owner[0], *(owner[i] for i in switches)),
     )
+    bad = verify_continuous(neck, cont)
+    if bad:
+        raise InternalInvariantError(f"continuous candidate failed verification: {bad}")
+    return cont

@@ -17,6 +17,7 @@ from fairsplit.jsonio import (
     pair_split_from_json,
     stable_split_from_json,
 )
+from fairsplit.necklace import DiscreteSplitting, Necklace, verify_discrete
 from fairsplit.paths import (
     ColoredPath,
     verify_cycle_split,
@@ -131,6 +132,20 @@ def test_split_necklace_budget_exit_5(capsys):
         "split-necklace", "--input", fixture("necklace_q3.json"), "--budget", "1",
     )
     assert code == 5 and "candidates" in err
+
+
+@pytest.mark.parametrize("n, q, flags", [
+    (20, 20, ["--budget", "1000"]),
+    (300, 4, []),
+])
+def test_split_necklace_one_color(capsys, tmp_path, n, q, flags):
+    target = tmp_path / "necklace.json"
+    target.write_text(json.dumps({"kind": "necklace", "colors": [1] * n, "q": q}))
+    code, out, err = run(capsys, "split-necklace", "--input", str(target), *flags)
+    assert code == 0 and "Traceback" not in err
+    assert out["report"]["ok"] is True and out["cuts"] == q - 1
+    neck = Necklace((1,) * n, q)
+    assert verify_discrete(neck, None, DiscreteSplitting(out["owner"])) == []
 
 
 def test_split_stable_power_of_two(capsys):

@@ -214,12 +214,13 @@ def test_search_continuous_goldens():
 
 def test_search_continuous_verified_sweep():
     for n in range(1, 6):
-        for colors in canonical_colorings(n, 2):
-            for q in (2, 3):
+        for colors in canonical_colorings(n, 3):
+            for q in (2, 3, 4):
                 neck = Necklace(colors, q)
                 cont = search_continuous(neck)
                 assert verify_continuous(neck, cont) == [], (colors, q)
                 assert len(cont.cuts) <= (q - 1) * neck.m
+                assert all((c * q).denominator == 1 for c in cont.cuts)
 
 
 def test_search_continuous_budget_guard():

@@ -270,6 +270,24 @@ def test_pipeline_matches_search_on_small_sweep():
                 assert best.cuts <= split.cuts <= neck.m
 
 
+def test_pipeline_every_q4_two_color_necklace_of_six_and_seven_beads():
+    q = 4
+    for n in (6, 7):
+        for colors in itertools.product((1, 2), repeat=n):
+            if len(set(colors)) < 2:
+                continue
+            neck = Necklace(colors, q)
+            if any(rj not in (0, 1, q - 1) for rj in neck.r):
+                continue
+            live = [j for j in (1, 2) if neck.r[j - 1]]
+            for choice in itertools.product(
+                *(itertools.combinations(range(1, q + 1), neck.r[j - 1]) for j in live)
+            ):
+                spec = {j: list(ts) for j, ts in zip(live, choice)} or None
+                split = split_with_advantages(neck, spec)
+                assert verify_discrete(neck, spec, split) == [], (colors, spec)
+
+
 # === the r=2 wall ===
 
 def test_r2_demo_report():
