@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import random
 import sys
 from pathlib import Path
 from typing import Any
 
 from .errors import (
+    NODE_BUDGET,
     BudgetExceededError,
     InternalInvariantError,
     PreconditionError,
@@ -32,10 +32,9 @@ from .jsonio import (
     pair_split_to_json,
     stable_split_to_json,
 )
-from .necklace import CONTINUOUS_BUDGET, verify_discrete
+from .necklace import verify_discrete
 from .paths import (
     PAIR_BUDGET,
-    STATE_BUDGET,
     ColoredPath,
     iter_colorings,
     solve_cycle_split,
@@ -101,15 +100,13 @@ def cmd_split_stable(args: argparse.Namespace) -> dict[str, Any]:
     q = args.q if args.q is not None else inst.q
     if q is None:
         raise SchemaError("split-stable needs q (in the file or via --q)")
+    # each solver keeps its own default budget
+    budget = {} if args.budget is None else {"budget": args.budget}
     if q & (q - 1) == 0:
-        budget = args.budget if args.budget is not None else PAIR_BUDGET
-        split = solve_qstable_power2(path, q, budget=budget)
+        split = solve_qstable_power2(path, q, **budget)
         method = "composition"
     else:
-        budget = args.budget if args.budget is not None else STATE_BUDGET
-        split = solve_qstable_bruteforce(
-            path, q, enforce_upper=args.enforce_upper, budget=budget
-        )
+        split = solve_qstable_bruteforce(path, q, enforce_upper=args.enforce_upper, **budget)
         method = "bruteforce"
     if split is None:
         return {"found": False, "method": method, "q": q}
@@ -136,10 +133,6 @@ def cmd_tucker_check(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _surjective_count(n: int, m: int) -> int:
-    return sum((-1) ** k * math.comb(m, k) * (m - k) ** n for k in range(m + 1))
-
-
 def _random_coloring(rng: random.Random, max_n: int, max_m: int) -> ColoredPath:
     n = rng.randint(1, max_n)
     raw = [rng.randint(1, max_m) for _ in range(n)]
@@ -149,27 +142,16 @@ def _random_coloring(rng: random.Random, max_n: int, max_m: int) -> ColoredPath:
 
 def cmd_conjecture_scan(args: argparse.Namespace) -> dict[str, Any]:
     q, max_n, max_m = args.q, args.max_n, args.max_m
-    budget = args.budget if args.budget is not None else STATE_BUDGET
 
     if args.samples is not None:
         rng = random.Random(args.seed)
         paths = [_random_coloring(rng, max_n, max_m) for _ in range(args.samples)]
-        worst = sum((q + 1) ** p.n for p in paths)
         batches = [(f"sample batch {i // 250 + 1}", paths[i : i + 250])
                    for i in range(0, len(paths), 250)]
         mode = "random"
     else:
-        worst = sum(
-            sum(_surjective_count(n, m) for m in range(1, min(max_m, n) + 1))
-            * (q + 1) ** n
-            for n in range(1, max_n + 1)
-        )
         batches = ((f"n={n}", iter_colorings(n, max_m)) for n in range(1, max_n + 1))
         mode = "exhaustive"
-    if worst > budget:
-        raise BudgetExceededError(
-            f"scan would examine up to {worst} assignments, budget is {budget}"
-        )
 
     scanned = found = skipped = 0
     counterexamples: list[dict[str, Any]] = []
@@ -180,7 +162,13 @@ def cmd_conjecture_scan(args: argparse.Namespace) -> dict[str, Any]:
                 skipped += 1
                 continue
             scanned += 1
-            split = solve_qstable_bruteforce(path, q, budget=budget)
+            try:
+                split = solve_qstable_bruteforce(path, q, budget=args.budget)
+            except BudgetExceededError as exc:
+                # a budget stop decides nothing, so it is never a counterexample
+                raise BudgetExceededError(
+                    f"{exc}; stopped on colors {list(path.colors)}"
+                ) from exc
             if split is None:
                 counterexamples.append(
                     instance_to_json(Instance(kind="path", colors=path.colors, q=q))
@@ -248,15 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = add(name, func, help_text)
         p.add_argument("--budget", type=_positive_int, default=PAIR_BUDGET, metavar="N",
-                       help=f"removal-vector budget for the pair-split search "
-                            f"(default {PAIR_BUDGET})")
+                       help=f"budget of the pair-split search, charged m units per "
+                            f"removal vector for m colors (default {PAIR_BUDGET})")
 
     p = add("split-necklace", cmd_split_necklace,
             "fair whole-bead necklace splitting with chosen advantaged thieves")
     p.add_argument("--q", type=_q_at_least_2, help="number of thieves (overrides the file)")
-    p.add_argument("--budget", type=_positive_int, default=CONTINUOUS_BUDGET, metavar="N",
+    p.add_argument("--budget", type=_positive_int, default=NODE_BUDGET, metavar="N",
                    help=f"node budget for the depth-first necklace search "
-                        f"(default {CONTINUOUS_BUDGET})")
+                        f"(default {NODE_BUDGET})")
 
     p = add("split-stable", cmd_split_stable,
             "q-stable split of a colored path (composition for powers of two)")
@@ -264,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enforce-upper", action="store_true",
                    help="also require the per-color upper bound")
     p.add_argument("--budget", type=_positive_int, metavar="N",
-                   help=f"removal vectors per pair split for powers of two "
-                        f"(default {PAIR_BUDGET}), otherwise worst-case "
-                        f"brute-force assignments (default {STATE_BUDGET})")
+                   help=f"for powers of two, units per pair split at m per removal "
+                        f"vector (default {PAIR_BUDGET}); otherwise search nodes "
+                        f"per path (default {NODE_BUDGET})")
 
     add("tucker-check", cmd_tucker_check,
         "machine-check the path labeling against the octahedral Tucker lemma")
@@ -281,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, metavar="K",
                    help="scan K seeded random colorings instead of all of them")
     p.add_argument("--seed", type=int, default=0, help="seed for --samples (default 0)")
-    p.add_argument("--budget", type=_positive_int, metavar="N",
-                   help=f"worst-case assignment budget (default {STATE_BUDGET})")
+    p.add_argument("--budget", type=_positive_int, default=NODE_BUDGET, metavar="N",
+                   help=f"search nodes per path (default {NODE_BUDGET}); running "
+                        f"out stops the scan with exit 5")
 
     return parser
 

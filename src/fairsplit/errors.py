@@ -1,8 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types and the default search budget shared across the library.
 
-Each carries an ``exit_code`` so the command line front end can map
-failures to its documented exit statuses without inspecting messages.
+Each exception carries an ``exit_code`` so the command line front end can
+map failures to its documented exit statuses without inspecting messages.
 """
+
+# default budget, in search nodes, of every depth-first search: the two
+# necklace searches and the q-stable search
+NODE_BUDGET = 10**6
 
 
 class SchemaError(ValueError):
@@ -24,7 +28,7 @@ class PreconditionError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed its state or pattern budget."""
+    """A search would pass its budget, or an enumeration its size cap."""
 
     exit_code = 5
 

@@ -31,13 +31,13 @@ from functools import cached_property
 from math import ceil, floor
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceededError, InternalInvariantError, SchemaError
+from .errors import NODE_BUDGET, BudgetExceededError, InternalInvariantError, SchemaError
 
 # not called here; kept because perfbench/tracing.py patches this name
 from .linsolve import find_rational_point  # noqa: F401
 
-CONTINUOUS_BUDGET = 10**6
-DISCRETE_BUDGET = 10**6
+# the old names, kept as aliases for one release
+CONTINUOUS_BUDGET = DISCRETE_BUDGET = NODE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ def search_discrete(
     neck: Necklace,
     advantages: AdvantageSpec | None,
     max_cuts: int,
-    budget: int = DISCRETE_BUDGET,
+    budget: int = NODE_BUDGET,
 ) -> DiscreteSplitting | None:
     """First fair whole-bead splitting with at most max_cuts cuts, or None.
 
@@ -367,7 +367,7 @@ def verify_continuous(neck: Necklace, cont: ContinuousSplitting) -> list[str]:
 
 
 def search_continuous(
-    neck: Necklace, budget: int = CONTINUOUS_BUDGET
+    neck: Necklace, budget: int = NODE_BUDGET
 ) -> ContinuousSplitting:
     """Continuous fair splitting with at most (q-1)m cuts.
 

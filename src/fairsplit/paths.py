@@ -14,7 +14,7 @@ of splits are computed and verified here:
   distance >= q, covering all but q-1 vertices per color, with class
   sizes differing by at most one and every class holding at least
   floor((|V_j|+1)/q) - 1 vertices of each color.  Existence for all q
-  is open; ``solve_qstable_bruteforce`` searches exhaustively and
+  is open; ``solve_qstable_bruteforce`` searches depth-first and
   ``compose_splits`` lifts solvers for q' and q'' to q'q''.
 
 The floor/ceil division identities used by the composition are exposed
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
+from .errors import NODE_BUDGET, BudgetExceededError, InternalInvariantError, PreconditionError
 
 logger = logging.getLogger(__name__)
 
-STATE_BUDGET = 10**8
+STATE_BUDGET = NODE_BUDGET  # the old name, kept as an alias for one release
 PAIR_BUDGET = 10**7
 
 
@@ -146,8 +146,9 @@ def solve_pair_split(path: ColoredPath, *, budget: int = PAIR_BUDGET) -> PairSpl
     are tested in turn and the first failing one ends the test.  The
     sides are built once, for the winning removal vector.
 
-    Each candidate is charged to ``budget`` before it is tested; when
-    the budget is spent the search stops with ``BudgetExceededError``,
+    Each candidate costs m units of ``budget``, charged before it is
+    tested, since its test takes up to m bisections per color; when the
+    budget would be passed the search stops with ``BudgetExceededError``,
     naming how many candidates it examined.  A valid split always
     exists, so exhausting the search is an internal error.
     """
@@ -163,10 +164,10 @@ def solve_pair_split(path: ColoredPath, *, budget: int = PAIR_BUDGET) -> PairSpl
             acc.append(acc[-1] + (1 if u % 2 == 0 else -1))
         tables.append((j, cls, acc, acc[-1] if m % 2 else -acc[-1]))
     for examined, removal in enumerate(itertools.product(*classes)):
-        if examined >= budget:
+        if (examined + 1) * m > budget:
             raise BudgetExceededError(
                 f"pair-split search examined {examined} removal vectors, "
-                f"budget is {budget}"
+                f"budget is {budget} units at m={m} per vector"
             )
         order = sorted(removal)
         for j, cls, acc, d in tables:
@@ -290,84 +291,82 @@ def enumerate_qstable_splits(
     *,
     enforce_upper: bool = False,
     require_lower: bool = True,
-    budget: int = STATE_BUDGET,
+    budget: int = NODE_BUDGET,
 ) -> Iterator[StableSplit]:
     """All q-stable splits, in lexicographic order of the assignment vector.
 
-    Vertices are assigned, in order, a value from (discard, class 1,
-    ..., class q); branches violating stability, the discard quota, the
-    class-size ceiling or (optionally) the per-color bounds are pruned.
-    ``require_lower=False`` drops the per-color lower bound, which is
-    useful for enumerating every stability/balance-feasible split.
-    The search is refused with ``BudgetExceededError`` when its worst
-    case, (q+1)^n assignments, exceeds ``budget``.
+    A depth-first search on an explicit stack gives vertex after vertex
+    a value, 0 (discard) first and then classes 1..q.  A move is pruned
+    when it breaks stability, the class-size ceiling, the quota of q-1
+    discards per color or, with ``enforce_upper``, the per-color upper
+    bound; at the last vertex of a color it must also close the color
+    with exactly q-1 discards and, with ``require_lower``, the per-color
+    lower bound in every class.  ``require_lower=False`` enumerates every
+    stability/balance-feasible split.  Every node, leaves included,
+    costs one unit of ``budget`` before it is expanded; running out
+    raises ``BudgetExceededError``, which never means no split exists.
     """
     if q < 1:
         raise PreconditionError("q must be at least 1")
-    n, m = path.n, path.m
-    states = (q + 1) ** n
-    if states > budget:
-        raise BudgetExceededError(
-            f"brute force would scan {states} assignments, budget is {budget}"
-        )
     sizes = path.class_sizes
     if any(s < q - 1 for s in sizes):
         raise PreconditionError(f"every color needs at least q-1={q - 1} vertices")
+    n, m = path.n, path.m
+    colors = [c - 1 for c in path.colors]
+    closes = {cls[-1] - 1 for cls in path.classes}
+    # per value (0 = discard, then the classes): the distance it needs
+    # from its previous vertex, its size cap and, per color, the bounds
+    # on its count.  Discards need no distance or size cap and number
+    # exactly q-1 per color; s bounds nothing, as a class never holds
+    # all s vertices of a color.
+    gap = [0] + [q] * q
+    cap = [n] + [-(-(n - (q - 1) * m) // q)] * q
+    low = [[q - 1] + [(s + 1) // q - 1 if require_lower else 0] * q for s in sizes]
+    high = [[q - 1] + [s // q if enforce_upper else s] * q for s in sizes]
 
-    color_of = path.colors
-    covered = n - (q - 1) * m
-    size_hi = -(-covered // q)
-    lower = [max(0, (s + 1) // q - 1) for s in sizes]
-    upper = [s // q for s in sizes]
-    color_last = {j: max(cls) for j, cls in enumerate(path.classes, start=1)}
-
-    assign = [0] * n  # 0 = discarded, 1..q = class
-    discards = [0] * m
-    counts = [[0] * m for _ in range(q)]
-    class_sizes = [0] * q
-    last_pos = [-q] * q
-
-    def color_complete_ok(j: int) -> bool:
-        if discards[j] != q - 1:
-            return False
-        if require_lower and any(counts[c][j] < lower[j] for c in range(q)):
-            return False
-        return True
-
-    def rec(v: int) -> Iterator[StableSplit]:
-        if v > n:
-            if max(class_sizes) - min(class_sizes) <= 1:
-                yield _snapshot(path, q, assign)
-            return
-        j = color_of[v - 1] - 1
-        is_last = color_last[j + 1] == v
-        # discard first: lexicographically smallest choice
-        if discards[j] < q - 1:
-            discards[j] += 1
-            assign[v - 1] = 0
-            if not is_last or color_complete_ok(j):
-                yield from rec(v + 1)
-            discards[j] -= 1
-        for c in range(q):
-            if v - last_pos[c] < q:
-                continue
-            if class_sizes[c] + 1 > size_hi:
-                continue
-            if enforce_upper and counts[c][j] + 1 > upper[j]:
-                continue
-            saved = last_pos[c]
-            last_pos[c] = v
-            class_sizes[c] += 1
-            counts[c][j] += 1
-            assign[v - 1] = c + 1
-            if not is_last or color_complete_ok(j):
-                yield from rec(v + 1)
-            counts[c][j] -= 1
-            class_sizes[c] -= 1
-            last_pos[c] = saved
-        assign[v - 1] = 0
-
-    yield from rec(1)
+    counts = [[0] * (q + 1) for _ in range(m)]  # counts[j][a]: color j given value a
+    taken = [0] * (q + 1)
+    last_pos = [-q] * (q + 1)  # the latest vertex (0-based) given each value
+    assign = [0] * n
+    saved = [0] * n  # last_pos of the value vertex d took, before it took it
+    tried = [0] * (n + 1)  # the next value to try at depth d
+    nodes = d = 0
+    while True:
+        k = tried[d]
+        if k == 0:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"q-stable search passed its budget of {budget} nodes; this "
+                    "bounds effort, it does not mean no split exists"
+                )
+            if d == n:
+                if max(taken[1:]) - min(taken[1:]) <= 1:
+                    yield _snapshot(path, q, assign)
+                k = q + 1
+        if k > q:
+            if d == 0:
+                return
+            d -= 1
+            a = assign[d]
+            counts[colors[d]][a] -= 1
+            taken[a] -= 1
+            last_pos[a] = saved[d]
+            continue
+        tried[d] = k + 1
+        j = colors[d]
+        row = counts[j]
+        if d - last_pos[k] < gap[k] or taken[k] >= cap[k] or row[k] >= high[j][k]:
+            continue
+        if d in closes and any(row[a] + (a == k) < low[j][a] for a in range(q + 1)):
+            continue
+        row[k] += 1
+        taken[k] += 1
+        saved[d] = last_pos[k]
+        last_pos[k] = d
+        assign[d] = k
+        d += 1
+        tried[d] = 0
 
 
 def _snapshot(path: ColoredPath, q: int, assign: Sequence[int]) -> StableSplit:
@@ -386,13 +385,15 @@ def _snapshot(path: ColoredPath, q: int, assign: Sequence[int]) -> StableSplit:
 
 
 def solve_qstable_bruteforce(
-    path: ColoredPath, q: int, enforce_upper: bool = False, *, budget: int = STATE_BUDGET
+    path: ColoredPath, q: int, enforce_upper: bool = False, *, budget: int = NODE_BUDGET
 ) -> StableSplit | None:
     """First q-stable split in assignment order, or None if none exists.
 
-    ``budget`` caps the worst case as in ``enumerate_qstable_splits``.
-    A None at any feasible size would falsify the splitting conjecture,
-    so it is logged loudly before being returned.
+    Runs the depth-first search of ``enumerate_qstable_splits`` up to
+    its first split; ``budget`` bounds its search nodes, and running out
+    raises ``BudgetExceededError`` rather than returning None.  Only a
+    finished search returns None, which at any feasible size would
+    falsify the splitting conjecture, so it is logged loudly first.
     """
     found = next(
         enumerate_qstable_splits(
@@ -530,7 +531,7 @@ def solve_qstable_power2(
 ) -> StableSplit:
     """Stable split for q a power of two, via repeated pair splitting.
 
-    Every pair split it runs gets ``budget`` removal vectors of its own.
+    Every pair split it runs gets ``budget`` units of its own.
     """
     if q < 1 or q & (q - 1):
         raise PreconditionError(f"q={q} is not a power of two")

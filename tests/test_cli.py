@@ -196,6 +196,19 @@ def test_split_stable_budget_exit_5(capsys):
     assert code == 5 and "budget" in err
 
 
+@pytest.mark.parametrize("colors", [[1, 2, 3] * 10, [1] * 1500])
+def test_split_stable_q3_long_paths(capsys, tmp_path, colors):
+    # both are past any worst-case bound of (q+1)^n, and 1500 vertices
+    # are past Python's recursion limit
+    target = tmp_path / "path.json"
+    target.write_text(json.dumps({"kind": "path", "colors": colors}))
+    code, out, err = run(capsys, "split-stable", "--input", str(target), "--q", "3")
+    assert code == 0 and "Traceback" not in err
+    assert out["found"] is True and out["certificate"]["ok"] is True
+    split = stable_split_from_json(out)
+    assert verify_qstable_split(ColoredPath(tuple(colors)), 3, split) == []
+
+
 @pytest.mark.parametrize("command, kind, flags", [
     ("split-path", "path", []),
     ("split-cycle", "cycle", []),
@@ -283,3 +296,13 @@ def test_conjecture_scan_budget_exit_5(capsys):
         "--budget", "100",
     )
     assert code == 5 and "budget" in err
+
+
+def test_conjecture_scan_long_one_color_paths(capsys):
+    code, out, _ = run(
+        capsys,
+        "conjecture-scan", "--q", "3", "--max-n", "14", "--max-m", "1",
+    )
+    assert code == 0
+    assert out["found"] == out["scanned"] == 13  # n=1 has too few vertices
+    assert out["counterexamples"] == []

@@ -186,11 +186,11 @@ def test_pair_split_thousand_vertices():
 
 
 def test_pair_split_budget_counts_removal_vectors():
-    # the first two removal vectors fail, the third succeeds
+    # the first two removal vectors fail, the third succeeds; each costs m=2
     path = ColoredPath((1, 1, 2, 2, 1, 2))
     with pytest.raises(BudgetExceededError, match="examined 2 removal vectors"):
-        solve_pair_split(path, budget=2)
-    assert verify_pair_split(path, solve_pair_split(path, budget=3)) == []
+        solve_pair_split(path, budget=4)
+    assert verify_pair_split(path, solve_pair_split(path, budget=6)) == []
 
 
 def test_pair_split_output_among_all_valid_splits():
@@ -258,17 +258,19 @@ def test_cycle_split_needs_three_vertices():
 # === q-stable splits ===
 
 def test_enumerate_matches_product_oracle():
-    cases = [(n, q) for n in range(1, 7) for q in (2, 3)]
+    cases = [(n, q) for n in range(1, 7) for q in (2, 3, 4, 5)]
     for n, q in cases:
-        for colors in canonical_colorings(n, 2):
+        for colors in canonical_colorings(n, 3):
             path = ColoredPath(colors)
             if any(len(cls) < q - 1 for cls in path.classes):
                 continue
-            got = [
-                split_to_assignment(path, s)
-                for s in enumerate_qstable_splits(path, q)
-            ]
-            assert got == qstable_assignments_oracle(colors, q), (colors, q)
+            for lower in (True, False):
+                got = [
+                    split_to_assignment(path, s)
+                    for s in enumerate_qstable_splits(path, q, require_lower=lower)
+                ]
+                want = qstable_assignments_oracle(colors, q, require_lower=lower)
+                assert got == want, (colors, q, lower)
 
 
 def test_enumerate_rejects_too_small_color_class():
@@ -393,6 +395,7 @@ def test_floor_ceil_goldens():
 
 
 def test_budget_guard_rejects_huge_enumeration():
+    # a first split lies n+1 = 15 nodes deep, past a budget of 10
     path = ColoredPath((1,) * 14)
     with pytest.raises(BudgetExceededError):
-        next(enumerate_qstable_splits(path, 3))
+        next(enumerate_qstable_splits(path, 3, budget=10))
