@@ -17,12 +17,15 @@ path splittings:
   Tucker lemma says any such labeling free of complementary comparable
   pairs needs at least n label magnitudes,
 * ``tucker_verify`` -- exhaustive verifier for antipodality and the
-  absence of complementary comparable pairs.
+  absence of complementary comparable pairs, by zeta transforms over
+  the face poset of {+,-,0}^n in O(n 3^n) rather than a scan of all
+  5^n comparable pairs.
 
 Vectors are stored as the two index sets (x+, x-), which turns
 ``precedes`` into two subset tests.  Enumerative sweeps run over base-3
-code tables built with numpy; the scalar functions and the vectorized
-tables are kept in lockstep by the test suite.
+code tables built with numpy, for n <= T_ENUMERATION_CAP; the scalar
+functions and the vectorized tables are kept in lockstep by the test
+suite.
 """
 
 from __future__ import annotations
@@ -37,10 +40,8 @@ from .errors import InstanceTooLargeError
 
 PLUS, MINUS, ZERO = 1, -1, 0
 
-# Hard caps: compute_t enumerates 3^n vectors, tucker_verify additionally
-# scans the 5^n comparable pairs.
+# Hard cap: compute_t, lambda_table and tucker_verify enumerate 3^n vectors.
 T_ENUMERATION_CAP = 12
-PAIR_SCAN_CAP = 8
 
 _CHAR_TO_SIGN = {"+": PLUS, "-": MINUS, "0": ZERO}
 _SIGN_TO_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
@@ -191,8 +192,8 @@ def compute_t(classes: Partition) -> int:
         raise InstanceTooLargeError(
             f"compute_t enumerates 3^n vectors; n={n} exceeds cap {T_ENUMERATION_CAP}"
         )
-    empty = _j_empty_mask(classes, n)
-    return int(_alt_table(n)[empty].max())
+    jprime, _ = _saturation(classes, n)
+    return int(_alt_table(n)[jprime == 0].max())
 
 
 def lambda_map(x: SignVector, classes: Partition, t: int) -> int:
@@ -255,31 +256,26 @@ def vector_from_code(code: int, n: int) -> SignVector:
 
 
 @lru_cache(maxsize=None)
-def _digit_table(n: int) -> np.ndarray:
-    """(3^n, n) array of base-3 digits; digit 0/1/2 encodes entry 0/+/-."""
+def _entry_table(n: int) -> np.ndarray:
+    """(n, 3^n) array; row i-1 holds entry i (0, +1 or -1) of every code.
+
+    Base-3 digit 0/1/2 of a code encodes entry 0/+/-.
+    """
     codes = np.arange(3**n, dtype=np.int64)
-    digits = np.empty((3**n, n), dtype=np.int8)
+    entries = np.empty((n, 3**n), dtype=np.int8)
     for i in range(n):
-        digits[:, i] = (codes // 3**i) % 3
-    return digits
-
-
-@lru_cache(maxsize=None)
-def _plus_minus_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    d = _digit_table(n)
-    return d == 1, d == 2
+        digit = codes // 3**i % 3
+        entries[i] = np.where(digit == 2, -1, digit)
+    return entries
 
 
 @lru_cache(maxsize=None)
 def _alt_table(n: int) -> np.ndarray:
-    d = _digit_table(n)
     runs = np.zeros(3**n, dtype=np.int16)
     last = np.zeros(3**n, dtype=np.int8)
-    for i in range(n):
-        col = d[:, i]
-        new_run = (col != 0) & (col != last)
-        runs += new_run
+    for col in _entry_table(n):
         nz = col != 0
+        runs += nz & (col != last)
         last = np.where(nz, col, last)
     return runs
 
@@ -287,79 +283,48 @@ def _alt_table(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _first_sign_table(n: int) -> np.ndarray:
     """Sign (+1/-1, 0 only for the zero vector) of the first nonzero entry."""
-    d = _digit_table(n)
     first = np.zeros(3**n, dtype=np.int8)
-    for i in range(n):
-        col = d[:, i]
-        unset = first == 0
-        first = np.where(unset & (col == 1), 1, first)
-        first = np.where(unset & (col == 2), -1, first)
+    for col in _entry_table(n):
+        first = np.where(first == 0, col, first)
     return first
 
 
 @lru_cache(maxsize=None)
 def _negation_table(n: int) -> np.ndarray:
     """neg[code] = code of the entrywise negation (digits 1 and 2 swapped)."""
-    d = _digit_table(n)
-    swapped = d.copy()
-    swapped[d == 1] = 2
-    swapped[d == 2] = 1
-    powers = 3 ** np.arange(n, dtype=np.int64)
-    return swapped.astype(np.int64) @ powers
+    neg = np.zeros(3**n, dtype=np.int64)
+    for i, col in enumerate(_entry_table(n)):
+        neg += np.int64(3**i) * (-col % 3)
+    return neg
 
 
-@lru_cache(maxsize=None)
-def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Codes (x, y) of every comparable pair x precedes y, both nonzero.
+def _saturation(classes: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """j' = max J(x) (0 where J(x) is empty) and the sign of x's label
+    +-(t + j'), for all 3^n codes.
 
-    Per coordinate the pair of digits is one of (0,0), (0,+), (+,+),
-    (0,-), (-,-); enumerating base-5 codes enumerates exactly the
-    comparable pairs, 5^n in total.
+    One vectorized pass per class column: each class accumulates its +
+    and - counts and the sign of its first nonzero entry, and a later
+    saturated color overrides an earlier one.
     """
-    cases_x = np.array([0, 0, 1, 0, 2], dtype=np.int64)
-    cases_y = np.array([0, 1, 1, 2, 2], dtype=np.int64)
-    codes5 = np.arange(5**n, dtype=np.int64)
-    x = np.zeros(5**n, dtype=np.int64)
-    y = np.zeros(5**n, dtype=np.int64)
-    for i in range(n):
-        d = (codes5 // 5**i) % 5
-        x += cases_x[d] * 3**i
-        y += cases_y[d] * 3**i
-    keep = (x != 0) & (y != 0)
-    return x[keep].astype(np.int32), y[keep].astype(np.int32)
-
-
-def _class_condition(classes: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per color: the J-membership mask and the label sign, for all codes.
-
-    Returns (cond, sign) arrays of shape (3^n, m).
-    """
-    P, M = _plus_minus_tables(n)
-    m = len(classes)
-    cond = np.zeros((3**n, m), dtype=bool)
-    sign = np.zeros((3**n, m), dtype=np.int8)
-    for j, cls in enumerate(classes):
-        cols = [i - 1 for i in sorted(cls)]
-        v = len(cols)
-        Psub = P[:, cols]
-        Msub = M[:, cols]
-        p = Psub.sum(axis=1)
-        mn = Msub.sum(axis=1)
+    entries = _entry_table(n)
+    jprime = np.zeros(3**n, dtype=np.int32)
+    sign = np.zeros(3**n, dtype=np.int8)
+    for j, cls in enumerate(classes, start=1):
+        v = len(cls)
+        p = np.zeros(3**n, dtype=np.int8)
+        mn = np.zeros(3**n, dtype=np.int8)
+        first = np.zeros(3**n, dtype=np.int8)
+        for i in sorted(cls):
+            col = entries[i - 1]
+            p += col > 0
+            mn += col < 0
+            first = np.where(first == 0, col, first)
+        # balanced rows have p = mn = v/2 >= 1, so first is +-1 there
         balanced = (2 * p == v) & (2 * mn == v)
-        unbalanced = 2 * np.maximum(p, mn) > v
-        cond[:, j] = balanced | unbalanced
-        # balanced rows have p = mn = v/2 >= 1, so argmax finds a real index
-        first_plus = Psub.argmax(axis=1)
-        first_minus = Msub.argmax(axis=1)
-        s_bal = np.where(first_plus < first_minus, 1, -1).astype(np.int8)
-        s_unb = np.where(2 * p > v, 1, -1).astype(np.int8)
-        sign[:, j] = np.where(balanced, s_bal, s_unb)
-    return cond, sign
-
-
-def _j_empty_mask(classes: Partition, n: int) -> np.ndarray:
-    cond, _ = _class_condition(classes, n)
-    return ~cond.any(axis=1)
+        saturated = balanced | (2 * np.maximum(p, mn) > v)
+        np.copyto(jprime, j, where=saturated)
+        np.copyto(sign, np.where(balanced, first, np.where(2 * p > v, 1, -1)), where=saturated)
+    return jprime, sign
 
 
 def lambda_table(classes: Partition) -> tuple[np.ndarray, int]:
@@ -374,19 +339,13 @@ def lambda_table(classes: Partition) -> tuple[np.ndarray, int]:
         raise InstanceTooLargeError(
             f"lambda_table enumerates 3^n vectors; n={n} exceeds cap {T_ENUMERATION_CAP}"
         )
-    cond, sign = _class_condition(classes, n)
-    has_j = cond.any(axis=1)
-    # j' = max saturated color, as 1-based index; 0 where J is empty
-    m = len(classes)
-    weights = np.arange(1, m + 1, dtype=np.int32)
-    jprime = np.where(cond, weights[None, :], 0).max(axis=1)
+    jprime, sign = _saturation(classes, n)
+    has_j = jprime > 0
     alt_t = _alt_table(n).astype(np.int32)
     t = int(alt_t[~has_j].max())
-    rows = np.arange(3**n)
-    sign_jp = np.where(has_j, sign[rows, np.maximum(jprime, 1) - 1], 0).astype(np.int32)
     labels = np.where(
         has_j,
-        sign_jp * (t + jprime),
+        sign * (t + jprime),
         _first_sign_table(n).astype(np.int32) * alt_t,
     )
     labels[0] = 0
@@ -436,6 +395,57 @@ def _labeling_to_array(labeling: Labeling, n: int) -> np.ndarray:
     return out
 
 
+def _zeta_up(table: np.ndarray, n: int, ufunc: np.ufunc) -> np.ndarray:
+    """Fold every entry into the entries of the vectors above it, in place.
+
+    Afterwards table[y] is the ufunc-reduction of the old table[x] over
+    every x preceding y (y itself and the zero vector included).  The
+    face poset is the n-fold product of 0 < +, 0 < -, so one pass per
+    coordinate suffices (Yates): the + and - digit each absorb digit 0.
+    """
+    for i in range(n):
+        digit = table.reshape(3 ** (n - 1 - i), 3, 3**i)
+        ufunc(digit[:, 1], digit[:, 0], out=digit[:, 1])
+        ufunc(digit[:, 2], digit[:, 0], out=digit[:, 2])
+    return table
+
+
+def _complementary_faces(labels: np.ndarray, n: int) -> np.ndarray:
+    """hit[y]: some x preceding y has label(x) = -label(y).
+
+    Each label becomes one bit of a uint64 mask, two bits per magnitude
+    with the sign in the low bit, so the complementary label sits at
+    bit ^ 1.  An OR zeta transform gathers the masks of all faces.
+    Labels of magnitude above 32 take one more round for each window of
+    32 magnitudes that holds a label.  labels[0] must be 0, which keeps
+    the zero vector out (its bit is -2).
+    """
+    bit = 2 * np.abs(labels) - 2 + (labels < 0)
+    hit = np.zeros(3**n, dtype=bool)
+    low = 0
+    while True:
+        # bits outside this round shift by 64 or more (negative ones wrap
+        # around), and numpy defines such shifts to give 0
+        shift = (bit - low).astype(np.uint64)
+        masks = np.uint64(1) << shift
+        _zeta_up(masks, n, np.bitwise_or)
+        hit |= ((masks >> (shift ^ np.uint64(1))) & np.uint64(1)).astype(bool)
+        rest = bit[bit >= low + 64]
+        if rest.size == 0:
+            return hit
+        low = int(rest.min()) // 64 * 64
+
+
+def _face_codes(code: int, n: int) -> np.ndarray:
+    """Codes of all x preceding the vector with this code, 2^|support| of them."""
+    faces = np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        digit = code // 3**i % 3
+        if digit:
+            faces = np.concatenate([faces, faces + digit * 3**i])
+    return faces
+
+
 def tucker_verify(labeling: Labeling, n: int, s: int) -> TuckerReport:
     """Exhaustively check a labeling of the nonzero vectors of {+,-,0}^n.
 
@@ -444,14 +454,22 @@ def tucker_verify(labeling: Labeling, n: int, s: int) -> TuckerReport:
     summing to zero.  Labels must be nonzero integers of magnitude at
     most s.  A labeling accepted with s < n contradicts the octahedral
     Tucker lemma and is flagged as such.
+
+    The pair check costs O(n 3^n) while labels stay within magnitude
+    32: one OR zeta transform over the face poset finds every y with a
+    complementary face.  Only if there is one does an additive
+    transform per label value involved, O(n 3^n) each, count the pairs,
+    and the faces of the first such y give the reported pair.  Capped
+    at n <= T_ENUMERATION_CAP.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > PAIR_SCAN_CAP:
+    if n > T_ENUMERATION_CAP:
         raise InstanceTooLargeError(
-            f"tucker_verify scans 5^n pairs; n={n} exceeds cap {PAIR_SCAN_CAP}"
+            f"tucker_verify enumerates 3^n vectors; n={n} exceeds cap {T_ENUMERATION_CAP}"
         )
     labels = _labeling_to_array(labeling, n)
+    labels[0] = 0
     body = labels[1:]
     if (body == 0).any():
         code = int(np.nonzero(body == 0)[0][0]) + 1
@@ -469,13 +487,18 @@ def tucker_verify(labeling: Labeling, n: int, s: int) -> TuckerReport:
     if not antipodal:
         antipodal_violation = vector_from_code(int(anti_bad[0]) + 1, n)
 
-    xc, yc = _pair_tables(n)
-    comp = labels[xc] + labels[yc] == 0
-    count = int(comp.sum())
+    hit = _complementary_faces(labels, n)
+    count = 0
     pair = None
-    if count:
-        k = int(np.nonzero(comp)[0][0])
-        pair = (vector_from_code(int(xc[k]), n), vector_from_code(int(yc[k]), n))
+    if hit.any():
+        for value in np.unique(-labels[hit]):
+            # a vector has at most 2^n <= 4096 faces, so int16 cannot overflow
+            below = _zeta_up((labels == value).astype(np.int16), n, np.add)
+            count += int(below[labels == -value].sum())
+        y = int(np.flatnonzero(hit)[0])
+        faces = _face_codes(y, n)
+        x = int(faces[labels[faces] == -labels[y]].min())
+        pair = (vector_from_code(x, n), vector_from_code(y, n))
 
     ok = antipodal and count == 0
     return TuckerReport(

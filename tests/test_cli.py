@@ -257,6 +257,25 @@ def test_tucker_check(capsys):
     }
 
 
+@pytest.mark.parametrize("n", [9, 12])
+def test_tucker_check_up_to_the_cap(capsys, tmp_path, n):
+    colors = [i % 3 + 1 for i in range(n)]
+    target = tmp_path / "path.json"
+    target.write_text(json.dumps({"kind": "path", "colors": colors}))
+    code, out, err = run(capsys, "tucker-check", "--input", str(target))
+    assert code == 0 and "Traceback" not in err
+    assert out["n"] == n and out["ok"] is True and out["antipodal"] is True
+    assert out["complementary_pairs"] == 0
+    assert out["s"] == out["t"] + 3 >= n
+
+
+def test_tucker_check_past_the_cap_exit_5(capsys, tmp_path):
+    target = tmp_path / "path.json"
+    target.write_text(json.dumps({"kind": "path", "colors": [i % 3 + 1 for i in range(13)]}))
+    code, _, err = run(capsys, "tucker-check", "--input", str(target))
+    assert code == 5 and "exceeds cap 12" in err and "Traceback" not in err
+
+
 def test_conjecture_scan_exhaustive(capsys):
     code, out, err = run(
         capsys,

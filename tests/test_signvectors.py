@@ -6,12 +6,14 @@ the closed-form implementations are never trusted on their own word.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from fairsplit.errors import InstanceTooLargeError
 from fairsplit.signvectors import (
+    T_ENUMERATION_CAP,
     SignVector,
     alt,
     compute_J,
@@ -22,6 +24,7 @@ from fairsplit.signvectors import (
     precedes,
     tucker_verify,
     vector_code,
+    vector_from_code,
 )
 from helpers import set_partitions
 
@@ -230,6 +233,132 @@ def complementary_pairs_oracle(labeling, n) -> int:
     )
 
 
+def pair_scan_oracle(labels, n) -> set:
+    """Codes (x, y) of every complementary pair x precedes y, both nonzero.
+
+    Scans all 5^n comparable pairs: per coordinate the pair of digits is
+    one of (0,0), (0,+), (+,+), (0,-), (-,-), so the base-5 codes
+    enumerate exactly the comparable pairs.
+    """
+    cases_x = np.array([0, 0, 1, 0, 2], dtype=np.int64)
+    cases_y = np.array([0, 1, 1, 2, 2], dtype=np.int64)
+    codes5 = np.arange(5**n, dtype=np.int64)
+    x = np.zeros(5**n, dtype=np.int64)
+    y = np.zeros(5**n, dtype=np.int64)
+    for i in range(n):
+        d = (codes5 // 5**i) % 5
+        x += cases_x[d] * 3**i
+        y += cases_y[d] * 3**i
+    comp = (x != 0) & (y != 0) & (labels[x] + labels[y] == 0)
+    return set(zip(x[comp].tolist(), y[comp].tolist()))
+
+
+def negation_codes(n) -> np.ndarray:
+    return np.array([vector_code(-vector_from_code(c, n)) for c in range(3**n)])
+
+
+def assert_matches_pair_scan(labels, n, s):
+    rep = tucker_verify(labels, n, s)
+    pairs = pair_scan_oracle(labels, n)
+    assert rep.complementary_pairs == len(pairs)
+    if pairs:
+        x, y = rep.complementary_pair
+        assert precedes(x, y)
+        assert labels[vector_code(x)] + labels[vector_code(y)] == 0
+        assert (vector_code(x), vector_code(y)) in pairs
+    else:
+        assert rep.complementary_pair is None
+    assert rep.ok == (rep.antipodal and not pairs)
+    return rep
+
+
+def random_labeling(rng, n, s, antipodal):
+    """Seeded labeling with one planted complementary pair x < y."""
+    labels = rng.integers(1, s + 1, size=3**n) * rng.choice([-1, 1], size=3**n)
+    neg = negation_codes(n)
+    y = vector_from_code(int(rng.integers(1, 3**n)), n)
+    while len(y.support) < 2:
+        y = vector_from_code(int(rng.integers(1, 3**n)), n)
+    i = min(y.support)
+    x, y = vector_code(SignVector(n, y.plus - {i}, y.minus - {i})), vector_code(y)
+    labels[x] = -labels[y]
+    if antipodal:
+        # keep the planted pair: each {z, -z} takes the label of one of them
+        keep = np.minimum(np.arange(3**n), neg)
+        keep[[x, neg[x], y, neg[y]]] = [x, x, y, y]
+        labels = np.where(keep == np.arange(3**n), labels, -labels[keep])
+    labels[0] = 0
+    return labels
+
+
+def test_tucker_matches_pair_scan_on_path_labelings():
+    for n in range(1, 7):
+        for classes in set_partitions(n):
+            labels, t = lambda_table(classes)
+            rep = assert_matches_pair_scan(labels, n, t + len(classes))
+            assert rep.ok and rep.antipodal
+
+
+@pytest.mark.parametrize("n, trials", [(2, 20), (3, 20), (4, 20), (5, 10), (6, 10), (7, 3), (8, 2)])
+def test_tucker_matches_pair_scan_on_random_labelings(n, trials):
+    rng = np.random.default_rng(n)
+    for trial in range(trials):
+        # magnitudes past 32 need more than one 64-bit mask round
+        s = [1, 2, n, 2 * n, 40, 100][trial % 6]
+        labels = random_labeling(rng, n, s, antipodal=trial % 2 == 0)
+        rep = assert_matches_pair_scan(labels, n, s)
+        assert rep.complementary_pairs > 0 and not rep.ok
+        if trial % 2 == 0:
+            assert rep.antipodal
+
+
+def test_tucker_reports_first_antipodality_violation():
+    for classes in (((1, 2, 3), (4, 5)), ((1, 3, 5), (2, 4, 6))):
+        n = sum(len(c) for c in classes)
+        labels, t = lambda_table(classes)
+        code = vector_code(SignVector.from_string("0+-" + "0" * (n - 3)))
+        labels = labels.copy()
+        labels[code] = -labels[code]
+        rep = assert_matches_pair_scan(labels, n, t + len(classes))
+        assert not rep.antipodal and not rep.ok
+        # the lower code of the broken pair {x, -x} is reported
+        neg = vector_code(-vector_from_code(code, n))
+        assert rep.antipodal_violation == vector_from_code(min(code, neg), n)
+
+
+def first_sign_pairs(n) -> int:
+    """Complementary pairs of the first-sign labeling, in closed form.
+
+    A pair x < y has y's first nonzero entry at f, x's at some j > f
+    where y holds the opposite sign; entries between are free, and each
+    later coordinate is 0 in y or nonzero in y and either 0 or equal in x.
+    """
+    return sum(
+        2 * 3 ** (j - f - 1) * 5 ** (n - j)
+        for f in range(1, n + 1)
+        for j in range(f + 1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
+def test_tucker_first_sign_labeling_count_and_witness(n):
+    # every label is +-1, so at n=12 there are tens of millions of pairs
+    codes = np.arange(3**n)
+    labels = np.zeros(3**n, dtype=np.int64)
+    for i in reversed(range(n)):
+        digit = codes // 3**i % 3
+        labels = np.where(digit == 1, 1, np.where(digit == 2, -1, labels))
+    start = time.perf_counter()
+    rep = tucker_verify(labels, n, 1)
+    assert time.perf_counter() - start < 1.0
+    assert rep.antipodal and not rep.ok
+    assert rep.complementary_pairs == first_sign_pairs(n)
+    if n <= 6:
+        assert rep.complementary_pairs == len(pair_scan_oracle(labels, n))
+    x, y = rep.complementary_pair
+    assert precedes(x, y) and x.first_sign() == -y.first_sign()
+
+
 def test_tucker_single_coordinate_ok():
     labeling = {
         SignVector.from_string("+"): 1,
@@ -297,4 +426,4 @@ def test_tucker_rejects_bad_labelings():
 
 def test_tucker_rejects_oversize():
     with pytest.raises(InstanceTooLargeError):
-        tucker_verify(lambda x: 1, n=9, s=9)
+        tucker_verify(lambda x: 1, n=T_ENUMERATION_CAP + 1, s=T_ENUMERATION_CAP + 1)
