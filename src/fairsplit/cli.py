@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -36,7 +38,7 @@ from .necklace import verify_discrete
 from .paths import (
     PAIR_BUDGET,
     ColoredPath,
-    iter_colorings,
+    iter_canonical_colorings,
     solve_cycle_split,
     solve_pair_split,
     solve_qstable_bruteforce,
@@ -53,7 +55,10 @@ def _read_instance(args: argparse.Namespace, kind: str) -> Instance:
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        text = Path(args.input).read_text()
+        try:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"input is not valid UTF-8: {exc}") from exc
     inst = loads_instance(text)
     if inst.kind != kind:
         raise SchemaError(
@@ -133,52 +138,69 @@ def cmd_tucker_check(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _random_coloring(rng: random.Random, max_n: int, max_m: int) -> ColoredPath:
+def _random_coloring(rng: random.Random, max_n: int, max_m: int) -> tuple[int, ...]:
     n = rng.randint(1, max_n)
     raw = [rng.randint(1, max_m) for _ in range(n)]
     relabel: dict[int, int] = {}
-    return ColoredPath(tuple(relabel.setdefault(c, len(relabel) + 1) for c in raw))
+    return tuple(relabel.setdefault(c, len(relabel) + 1) for c in raw)
+
+
+def _relabelings(colors: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The m! colorings that differ from ``colors`` by a permutation of its m colors."""
+    return [
+        tuple(perm[c - 1] for c in colors)
+        for perm in itertools.permutations(range(1, max(colors) + 1))
+    ]
 
 
 def cmd_conjecture_scan(args: argparse.Namespace) -> dict[str, Any]:
     q, max_n, max_m = args.q, args.max_n, args.max_m
 
+    # each batch holds (coloring, weight) pairs: in exhaustive mode one
+    # canonical coloring stands for its weight of m! relabelings, which
+    # share its verdict, as stability, balance and every per-color rule
+    # are blind to the names of the colors
     if args.samples is not None:
         rng = random.Random(args.seed)
-        paths = [_random_coloring(rng, max_n, max_m) for _ in range(args.samples)]
+        paths = [(_random_coloring(rng, max_n, max_m), 1) for _ in range(args.samples)]
         batches = [(f"sample batch {i // 250 + 1}", paths[i : i + 250])
                    for i in range(0, len(paths), 250)]
         mode = "random"
     else:
-        batches = ((f"n={n}", iter_colorings(n, max_m)) for n in range(1, max_n + 1))
+        batches = (
+            (f"n={n}", ((c, math.factorial(max(c)))
+                        for c in iter_canonical_colorings(n, max_m)))
+            for n in range(1, max_n + 1)
+        )
         mode = "exhaustive"
 
     scanned = found = skipped = 0
-    counterexamples: list[dict[str, Any]] = []
+    missing: list[tuple[int, ...]] = []
     for label, batch in batches:
-        for path in batch:
+        for colors, weight in batch:
             # removing q-1 vertices per color needs that many to exist
-            if any(len(cls) < q - 1 for cls in path.classes):
-                skipped += 1
+            if any(colors.count(c) < q - 1 for c in range(1, max(colors) + 1)):
+                skipped += weight
                 continue
-            scanned += 1
+            scanned += weight
             try:
-                split = solve_qstable_bruteforce(path, q, budget=args.budget)
+                split = solve_qstable_bruteforce(ColoredPath(colors), q, budget=args.budget)
             except BudgetExceededError as exc:
                 # a budget stop decides nothing, so it is never a counterexample
                 raise BudgetExceededError(
-                    f"{exc}; stopped on colors {list(path.colors)}"
+                    f"{exc}; stopped on colors {list(colors)}"
                 ) from exc
-            if split is None:
-                counterexamples.append(
-                    instance_to_json(Instance(kind="path", colors=path.colors, q=q))
-                )
+            if split is not None:
+                found += weight
             else:
-                found += 1
+                missing.extend(_relabelings(colors) if mode == "exhaustive" else [colors])
         print(
             f"{label}: scanned={scanned} found={found} skipped={skipped}",
             file=sys.stderr,
         )
+    if mode == "exhaustive":
+        # the order of iter_colorings: by n, then m, then lexicographic
+        missing.sort(key=lambda c: (len(c), max(c), c))
     return {
         "q": q,
         "max_n": max_n,
@@ -187,7 +209,9 @@ def cmd_conjecture_scan(args: argparse.Namespace) -> dict[str, Any]:
         "scanned": scanned,
         "found": found,
         "skipped": skipped,
-        "counterexamples": counterexamples,
+        "counterexamples": [
+            instance_to_json(Instance(kind="path", colors=c, q=q)) for c in missing
+        ],
     }
 
 

@@ -110,7 +110,7 @@ def normalize_advantages(
         ts = frozenset(listed)
         if len(ts) != len(listed):
             raise SchemaError(f"duplicate thieves in the advantage list of color {j}")
-        if not ts <= set(range(1, neck.q + 1)):
+        if not all(1 <= t <= neck.q for t in ts):
             raise SchemaError(f"advantaged thieves of color {j} must lie in 1..{neck.q}")
         if len(ts) != r[j]:
             raise SchemaError(

@@ -571,3 +571,36 @@ def iter_colorings(n: int, max_m: int) -> Iterator[ColoredPath]:
         for colors in itertools.product(range(1, m + 1), repeat=n):
             if len(set(colors)) == m:
                 yield ColoredPath(colors)
+
+
+def iter_canonical_colorings(n: int, max_m: int) -> Iterator[tuple[int, ...]]:
+    """One coloring per class of color relabelings, as restricted growth strings.
+
+    A coloring is canonical when its colors are numbered by first
+    occurrence: each vertex takes a color already used or the next new
+    one.  Every class of colorings that differ only by a permutation of
+    the colors holds exactly one canonical member, its lexicographically
+    smallest, so with exactly m colors there are S(n, m) (Stirling
+    numbers of the second kind) of them, each standing for m! colorings.
+    Like ``iter_colorings``, m ascends and each m runs in lexicographic
+    order; the colorings come as tuples, so callers build no path for
+    those they skip.
+    """
+    for m in range(1, min(max_m, n) + 1):
+        # the smallest string: ones, then each new color once at the end
+        colors = [1] * (n - m + 1) + list(range(2, m + 1))
+        top = list(itertools.accumulate(colors, max))  # top[i] = max(colors[:i+1])
+        while True:
+            yield tuple(colors)
+            # the rightmost vertex that may take a larger color; the
+            # colors after it can then still bring in every unused one
+            i = n - 1
+            while i > 0 and (colors[i] > top[i - 1] or colors[i] == m):
+                i -= 1
+            if i == 0:
+                break
+            colors[i] += 1
+            used = max(top[i - 1], colors[i])
+            colors[i + 1 :] = [1] * (n - 1 - i - (m - used)) + list(range(used + 1, m + 1))
+            for k in range(i, n):
+                top[k] = max(top[k - 1], colors[k])

@@ -7,6 +7,7 @@ that every emitted split re-parses and passes its verifier.
 
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ from fairsplit.jsonio import (
 from fairsplit.necklace import DiscreteSplitting, Necklace, verify_discrete
 from fairsplit.paths import (
     ColoredPath,
+    iter_colorings,
+    solve_qstable_bruteforce,
     verify_cycle_split,
     verify_pair_split,
     verify_qstable_split,
@@ -74,6 +77,13 @@ def test_kind_mismatch_is_schema_error(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_non_utf8_file_is_schema_error(capsys, tmp_path):
+    target = tmp_path / "path.json"
+    target.write_bytes(b'{"kind": "path", "colors": [1, 1, 2, 2]}\xff')
+    code, _, err = run(capsys, "split-path", "--input", str(target))
+    assert code == 2 and "not valid UTF-8" in err and "Traceback" not in err
+
+
 def test_missing_file_is_schema_error(capsys):
     code, _, err = run(capsys, "split-path", "--input", fixture("no_such.json"))
     assert code == 2 and "error:" in err
@@ -123,6 +133,18 @@ def test_split_necklace_needs_q(capsys):
 
 def test_split_necklace_bad_remainder_exit_4(capsys):
     code, _, err = run(capsys, "split-necklace", "--input", fixture("necklace_r2.json"))
+    assert code == 4 and "color 1 has r=2" in err
+
+
+def test_split_necklace_huge_q_exits_4_quickly(capsys, tmp_path):
+    target = tmp_path / "necklace.json"
+    target.write_text(json.dumps({
+        "kind": "necklace", "colors": [1, 2, 1, 2],
+        "advantages": {"1": [1, 2], "2": [1, 2]},
+    }))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "split-necklace", "--input", str(target), "--q", str(10**9))
+    assert time.perf_counter() - start < 0.5
     assert code == 4 and "color 1 has r=2" in err
 
 
@@ -315,6 +337,82 @@ def test_conjecture_scan_budget_exit_5(capsys):
         "--budget", "100",
     )
     assert code == 5 and "budget" in err
+
+
+def test_conjecture_scan_budget_stop_names_first_coloring(capsys):
+    code, _, err = run(
+        capsys,
+        "conjecture-scan", "--q", "3", "--max-n", "12", "--max-m", "3", "--budget", "100",
+    )
+    assert code == 5
+    assert err.splitlines()[-2] == "n=8: scanned=4093 found=4093 skipped=4743"
+    assert err.rstrip().endswith("stopped on colors [1, 1, 2, 1, 2, 2, 1, 2, 2]")
+
+
+def scan_oracle(q, max_n, max_m, solve):
+    """conjecture-scan's answer and progress lines, one search per coloring."""
+    scanned = found = skipped = 0
+    counterexamples, progress = [], []
+    for n in range(1, max_n + 1):
+        for path in iter_colorings(n, max_m):
+            if min(path.class_sizes) < q - 1:
+                skipped += 1
+            elif solve(path, q) is None:
+                scanned += 1
+                counterexamples.append({"kind": "path", "colors": list(path.colors), "q": q})
+            else:
+                scanned += 1
+                found += 1
+        progress.append(f"n={n}: scanned={scanned} found={found} skipped={skipped}")
+    answer = {
+        "q": q, "max_n": max_n, "max_m": max_m, "mode": "exhaustive",
+        "scanned": scanned, "found": found, "skipped": skipped,
+        "counterexamples": counterexamples,
+    }
+    return answer, progress
+
+
+def scan_progress(err):
+    return [line for line in err.splitlines() if line.startswith("n=")]
+
+
+@pytest.mark.parametrize("max_m", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_conjecture_scan_matches_per_coloring_oracle(capsys, q, max_m):
+    code, out, err = run(
+        capsys, "conjecture-scan", "--q", str(q), "--max-n", "8", "--max-m", str(max_m),
+    )
+    assert code == 0
+    answer, progress = scan_oracle(q, 8, max_m, solve_qstable_bruteforce)
+    assert out == answer
+    assert scan_progress(err) == progress
+
+
+def test_conjecture_scan_lists_every_relabeling_of_a_counterexample(capsys, monkeypatch):
+    # a stub that finds no split for two class-size patterns, both blind
+    # to color names: ten n=5 classes of sizes {2, 3}, 2! colorings
+    # each, and sixty n=6 classes of sizes {1, 2, 3}, 3! colorings each
+    calls = []
+
+    def stub(path, q, **kwargs):
+        calls.append(path.colors)
+        if tuple(sorted(path.class_sizes)) in {(2, 3), (1, 2, 3)}:
+            return None
+        return solve_qstable_bruteforce(path, q, **kwargs)
+
+    monkeypatch.setattr("fairsplit.cli.solve_qstable_bruteforce", stub)
+    code, out, err = run(capsys, "conjecture-scan", "--q", "2", "--max-n", "6", "--max-m", "3")
+    assert code == 0
+    scanned_classes = len(calls)
+    calls.clear()
+    answer, progress = scan_oracle(2, 6, 3, stub)
+    assert out == answer
+    assert scan_progress(err) == progress
+    assert len(out["counterexamples"]) == 10 * 2 + 60 * 6
+    # one search per class of relabelings, S(n, 1) + S(n, 2) + S(n, 3)
+    # at each n = 1..6, rather than one per coloring
+    assert scanned_classes == sum([1, 2, 5, 14, 41, 122]) < out["scanned"]
+    assert len(calls) == out["scanned"]
 
 
 def test_conjecture_scan_long_one_color_paths(capsys):

@@ -83,6 +83,15 @@ def test_normalize_advantages_accepts_and_rejects():
         normalize_advantages(Necklace((1, 2, 1, 2), 2), {1: [1]})  # r=0 color named
 
 
+def test_normalize_advantages_range_check_at_huge_q():
+    q = 10**9
+    neck = Necklace((1, 1), q)
+    assert normalize_advantages(neck, {1: [q, 1]}) == {1: frozenset({1, q})}
+    for thieves in ([0, 1], [1, q + 1]):
+        with pytest.raises(SchemaError, match="must lie in"):
+            normalize_advantages(neck, {1: thieves})
+
+
 def test_discrete_cut_count_is_adjacency_based():
     assert DiscreteSplitting((1, 1, 2, 2)).cuts == 1
     assert DiscreteSplitting((1, 2, 1, 2)).cuts == 3

@@ -20,6 +20,8 @@ from fairsplit.paths import (
     compose_splits,
     enumerate_qstable_splits,
     floor_ceil_identities,
+    iter_canonical_colorings,
+    iter_colorings,
     pair_split_as_stable,
     solve_cycle_split,
     solve_pair_split,
@@ -399,3 +401,30 @@ def test_budget_guard_rejects_huge_enumeration():
     path = ColoredPath((1,) * 14)
     with pytest.raises(BudgetExceededError):
         next(enumerate_qstable_splits(path, 3, budget=10))
+
+
+def stirling2(n, m):
+    """Partitions of n items into exactly m nonempty blocks."""
+    if n == m:
+        return 1
+    if m == 0 or m > n:
+        return 0
+    return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
+
+
+def first_occurrence(colors):
+    relabel = {}
+    return tuple(relabel.setdefault(c, len(relabel) + 1) for c in colors)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_canonical_colorings_one_per_relabeling_class(n):
+    for max_m in range(1, 5):
+        got = list(iter_canonical_colorings(n, max_m))
+        for m in range(1, min(max_m, n) + 1):
+            assert sum(max(c) == m for c in got) == stirling2(n, m)
+        classes = {first_occurrence(p.colors) for p in iter_colorings(n, max_m)}
+        assert len(got) == len(classes) and set(got) == classes
+        # the order of iter_colorings: m ascending, then lexicographic
+        assert got == sorted(got, key=lambda c: (max(c), c))
+
