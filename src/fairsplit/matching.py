@@ -111,8 +111,10 @@ def find_b_factor(
 ) -> BFactorResult:
     """A b-factor of the graph, or a witness that none exists.
 
-    Runs breadth-first augmenting paths on the unit-capacity network.
-    Degrees missing from the prescriptions default to zero.
+    Runs breadth-first augmenting paths on the unit-capacity network,
+    kept as a sparse residual graph: a vertex without demand or edges
+    costs nothing.  Degrees missing from the prescriptions default to
+    zero.
     """
     bl = {v: int(b_left.get(v, 0)) for v in graph.left}
     br = {v: int(b_right.get(v, 0)) for v in graph.right}
@@ -137,19 +139,19 @@ def find_b_factor(
     ri = {v: len(graph.left) + 1 + i for i, v in enumerate(graph.right)}
     sink = len(graph.left) + len(graph.right) + 1
     size = sink + 1
-    cap = [[0] * size for _ in range(size)]
-    for v, d in bl.items():
-        cap[0][li[v]] = d
-    for v, d in br.items():
-        cap[ri[v]][sink] = d
-    for l, r in graph.edges:
-        cap[li[l]][ri[r]] = 1
+    # the arcs of positive capacity in row-major order (source arcs, edge
+    # arcs, sink arcs); each adj list holds its vertex's arcs and reverse
+    # arcs in that order, which fixes the BFS order and so the result
+    arcs = [(0, li[v], d) for v, d in bl.items() if d]
+    arcs += sorted((li[l], ri[r], 1) for l, r in graph.edges)
+    arcs += [(ri[v], sink, d) for v, d in br.items() if d]
+    cap: list[dict[int, int]] = [{} for _ in range(size)]
     adj: list[list[int]] = [[] for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if cap[i][j] and j not in adj[i]:
-                adj[i].append(j)
-                adj[j].append(i)
+    for i, j, c in arcs:
+        cap[i][j] = c
+        cap[j][i] = 0
+        adj[i].append(j)
+        adj[j].append(i)
 
     flow = 0
     while True:

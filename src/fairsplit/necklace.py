@@ -19,8 +19,11 @@ sub-beads: color j then has q*a_j sub-beads, and by Alon (1987,
 most (q-1)m cuts exists.  Its cuts sit at multiples of 1/q, so it is
 an exact continuous splitting without any linear solve.  Every search
 node costs one unit of budget; running out is reported as such, never
-as nonexistence.  All continuous arithmetic is exact
-(fractions.Fraction).
+as nonexistence.  All continuous arithmetic is exact: a continuous
+splitting's allocation is kept in integers, in units of 1/d for d the
+lcm of its cut denominators (d = q for every split ``search_continuous``
+makes), so every check compares integers; fractions.Fraction appears
+only at the public boundary (cuts and ``allocation``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NODE_BUDGET, BudgetExceededError, InternalInvariantError, SchemaError
@@ -74,7 +77,7 @@ class Necklace:
             counts[c - 1] += 1
         return tuple(counts)
 
-    @property
+    @cached_property
     def r(self) -> tuple[int, ...]:
         return tuple(aj % self.q for aj in self.a)
 
@@ -309,26 +312,45 @@ class ContinuousSplitting:
         if len(self.owners) != len(self.cuts) + 1:
             raise ValueError("need exactly one owner per segment")
 
+    def _pieces(self, neck: Necklace) -> tuple[int, list[tuple[int, int, int]]]:
+        """(d, [(owner, bead, amount)]) for every nonempty piece, left to right.
+
+        d is the lcm of the cut denominators and amounts are integers in
+        units of 1/d.  Only beads 1..n are counted, so a cut outside
+        (0, n) moves no amount off the necklace.
+        """
+        d = lcm(*(c.denominator for c in self.cuts))
+        n = neck.n
+        bounds = (0, *(c.numerator * (d // c.denominator) for c in self.cuts), n * d)
+        pieces = []
+        for owner, lo, hi in zip(self.owners, bounds, bounds[1:]):
+            for k in range(max(lo // d, 0) + 1, min(-(-hi // d), n) + 1):
+                amt = min(hi, k * d) - max(lo, k * d - d)
+                if amt > 0:
+                    pieces.append((owner, k, amt))
+        return d, pieces
+
+    def scaled_allocation(
+        self, neck: Necklace
+    ) -> tuple[int, dict[tuple[int, int], int]]:
+        """(d, (thief, bead) -> amount the thief receives, in units of 1/d)."""
+        d, pieces = self._pieces(neck)
+        alloc: dict[tuple[int, int], int] = {}
+        for owner, k, amt in pieces:
+            key = (owner, k)
+            alloc[key] = alloc.get(key, 0) + amt
+        return d, alloc
+
     def allocation(self, neck: Necklace) -> dict[tuple[int, int], Fraction]:
         """(thief, bead) -> amount of the bead the thief receives."""
-        alloc: dict[tuple[int, int], Fraction] = {}
-        bounds = (Fraction(0), *self.cuts, Fraction(neck.n))
-        for owner, lo, hi in zip(self.owners, bounds, bounds[1:]):
-            for k in range(floor(lo) + 1, ceil(hi) + 1):
-                amt = min(hi, Fraction(k)) - max(lo, Fraction(k - 1))
-                if amt > 0:
-                    key = (owner, k)
-                    alloc[key] = alloc.get(key, Fraction(0)) + amt
-        return alloc
+        d, alloc = self.scaled_allocation(neck)
+        return {key: Fraction(amt, d) for key, amt in alloc.items()}
 
     def bead_owner_sequence(self, neck: Necklace) -> dict[int, list[int]]:
         """Bead -> owners of its sub-pieces in left-to-right order."""
         seq: dict[int, list[int]] = {k: [] for k in range(1, neck.n + 1)}
-        bounds = (Fraction(0), *self.cuts, Fraction(neck.n))
-        for owner, lo, hi in zip(self.owners, bounds, bounds[1:]):
-            for k in range(floor(lo) + 1, ceil(hi) + 1):
-                if min(hi, Fraction(k)) > max(lo, Fraction(k - 1)):
-                    seq[k].append(owner)
+        for owner, k, _ in self._pieces(neck)[1]:
+            seq[k].append(owner)
         return seq
 
 
@@ -346,18 +368,19 @@ def verify_continuous(neck: Necklace, cont: ContinuousSplitting) -> list[str]:
         violations.append("shape")
     if len(cuts) > (neck.q - 1) * neck.m:
         violations.append("cut bound")
-    alloc = cont.allocation(neck)
-    totals: dict[tuple[int, int], Fraction] = {}
-    bead_sum = [Fraction(0)] * neck.n
+    d, alloc = cont.scaled_allocation(neck)
+    totals: dict[tuple[int, int], int] = {}
+    bead_sum = [0] * neck.n
     for (t, k), amt in alloc.items():
         j = neck.beads[k - 1]
-        totals[(t, j)] = totals.get((t, j), Fraction(0)) + amt
+        totals[(t, j)] = totals.get((t, j), 0) + amt
         bead_sum[k - 1] += amt
-    if any(s != 1 for s in bead_sum):
+    if any(s != d for s in bead_sum):
         violations.append("bead sums")
+    # thief t holds totals/d of color j, which must equal a_j/q
     for t in range(1, neck.q + 1):
         for j in range(1, neck.m + 1):
-            if totals.get((t, j), Fraction(0)) != Fraction(neck.a[j - 1], neck.q):
+            if totals.get((t, j), 0) * neck.q != neck.a[j - 1] * d:
                 violations.append("fairness")
                 break
         else:

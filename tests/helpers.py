@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import ceil, floor
 from typing import Iterator
 
 
@@ -41,3 +43,20 @@ def canonical_colorings(n: int, max_m: int) -> Iterator[tuple[int, ...]]:
     """
     for rgs in restricted_growth_strings(n, max_m):
         yield tuple(label + 1 for label in rgs)
+
+
+def fraction_allocation_oracle(cont, neck) -> dict[tuple[int, int], Fraction]:
+    """(thief, bead) -> amount, by a segment walk in Fractions.
+
+    The reference for ``ContinuousSplitting.allocation``, which computes
+    the same map in integer units of 1/d.
+    """
+    alloc: dict[tuple[int, int], Fraction] = {}
+    bounds = (Fraction(0), *cont.cuts, Fraction(neck.n))
+    for owner, lo, hi in zip(cont.owners, bounds, bounds[1:]):
+        for k in range(floor(lo) + 1, ceil(hi) + 1):
+            amt = min(hi, Fraction(k)) - max(lo, Fraction(k - 1))
+            if amt > 0:
+                key = (owner, k)
+                alloc[key] = alloc.get(key, Fraction(0)) + amt
+    return alloc

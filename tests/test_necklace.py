@@ -6,6 +6,7 @@ exact rational arithmetic and pinned to hand-derived cut positions.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from fairsplit.necklace import (
     verify_continuous,
     verify_discrete,
 )
-from helpers import canonical_colorings
+from helpers import canonical_colorings, fraction_allocation_oracle
 
 F = Fraction
 
@@ -178,6 +179,51 @@ def test_allocation_and_owner_sequence():
     }
     assert cont.bead_owner_sequence(neck) == {1: [1], 2: [1, 2], 3: [2]}
     assert verify_continuous(neck, cont) == []
+
+
+def test_allocation_matches_fraction_oracle_on_search_output():
+    for n in range(1, 6):
+        for colors in canonical_colorings(n, 3):
+            for q in (2, 3, 4):
+                neck = Necklace(colors, q)
+                cont = search_continuous(neck)
+                assert cont.allocation(neck) == fraction_allocation_oracle(
+                    cont, neck
+                ), (colors, q)
+
+
+def test_allocation_matches_fraction_oracle_on_mixed_denominators():
+    # cuts on grids of 1/2, 1/3, 1/6, 1/10 and whole beads, with repeated
+    # owners: d is their lcm, and equal neighbours merge into one holding
+    rng = random.Random(9)
+    for _ in range(400):
+        n, q = rng.randint(1, 7), rng.randint(2, 4)
+        labels: dict[int, int] = {}
+        colors = [
+            labels.setdefault(rng.randint(1, 3), len(labels) + 1) for _ in range(n)
+        ]
+        neck = Necklace(tuple(colors), q)
+        grids = rng.sample((1, 2, 3, 6, 10), rng.randint(1, 3))
+        cuts = sorted(
+            {
+                F(rng.randint(1, n * den - 1), den)
+                for den in grids
+                for _ in range(3)
+                if n * den > 1
+            }
+        )
+        owners = tuple(rng.randint(1, q) for _ in range(len(cuts) + 1))
+        cont = ContinuousSplitting(cuts=tuple(cuts), owners=owners)
+        assert cont.allocation(neck) == fraction_allocation_oracle(cont, neck), (
+            colors,
+            cont,
+        )
+
+
+def test_verify_continuous_reports_cut_past_the_end():
+    neck = Necklace((1, 1, 2, 2), 2)
+    cont = ContinuousSplitting(cuts=(F(5),), owners=(1, 2))
+    assert verify_continuous(neck, cont) == ["shape", "fairness"]
 
 
 def test_continuous_owner_per_segment_required():

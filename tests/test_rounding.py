@@ -6,6 +6,7 @@ preserve every thief's per-color totals on a sweep.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from fairsplit.rounding import (
     round_color_rq1,
     split_with_advantages,
 )
-from helpers import canonical_colorings
+from helpers import canonical_colorings, fraction_allocation_oracle
 
 F = Fraction
 
@@ -173,6 +174,55 @@ def test_cancel_cycles_preserves_per_color_totals():
                         assert tot_b == tot_a
 
 
+def halves_of_shares(neck, rng):
+    """A fair splitting cutting every bead into 2q equal pieces.
+
+    Each thief takes two pieces of every bead, in a seeded per-bead
+    order, so cut denominators are 2q, not q, and the sharing graphs are
+    full of cycles.
+    """
+    q = neck.q
+    pieces = []
+    for _ in range(neck.n):
+        row = [t for t in range(1, q + 1) for _ in range(2)]
+        rng.shuffle(row)
+        pieces += row
+    owners = [pieces[0]]
+    cuts = []
+    for i in range(1, len(pieces)):
+        if pieces[i] != owners[-1]:
+            cuts.append(F(i, 2 * q))
+            owners.append(pieces[i])
+    return ContinuousSplitting(cuts=tuple(cuts), owners=tuple(owners))
+
+
+def thief_color_totals(neck, cont):
+    totals = {}
+    for (t, k), amt in cont.allocation(neck).items():
+        key = (t, neck.beads[k - 1])
+        totals[key] = totals.get(key, 0) + amt
+    return totals
+
+
+def test_cancel_cycles_on_pieces_of_one_over_2q():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for colors in canonical_colorings(n, 2):
+            for q in (2, 3):
+                neck = Necklace(colors, q)
+                cont = halves_of_shares(neck, rng)
+                assert verify_continuous(neck, cont) in ([], ["cut bound"])
+                out = cancel_cycles(cont, neck)
+                assert verify_continuous(neck, out) in ([], ["cut bound"])
+                assert len(out.cuts) <= len(cont.cuts)
+                assert thief_color_totals(neck, out) == thief_color_totals(neck, cont)
+                assert out.allocation(neck) == fraction_allocation_oracle(out, neck)
+                for j in range(1, neck.m + 1):
+                    g = build_flow_graph(out, neck, j)
+                    assert flow_equalities_ok(g), (colors, q, j)
+                    assert is_forest(g), (colors, q, j)
+
+
 # === per-remainder rounding ===
 
 def test_rounders_insist_on_their_remainder_and_on_forests():
@@ -239,6 +289,13 @@ def test_pipeline_rejects_unfair_continuous():
     lopsided = ContinuousSplitting(cuts=(F(1, 2),), owners=(1, 2))
     with pytest.raises(PreconditionError, match="not fair"):
         split_with_advantages(neck, None, continuous=lopsided)
+
+
+def test_pipeline_rejects_cut_past_the_end():
+    neck = Necklace((1, 1, 2, 2), 2)
+    past = ContinuousSplitting(cuts=(F(5),), owners=(1, 2))
+    with pytest.raises(PreconditionError, match="not fair"):
+        split_with_advantages(neck, None, continuous=past)
 
 
 def test_pipeline_rejects_unroundable_remainder():
