@@ -29,6 +29,7 @@ help is packaged as ``demonstrate_r2_failure``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -64,7 +65,10 @@ class ColorFlowGraph:
         object.__setattr__(
             self,
             "edges",
-            {(t, k): Fraction(u) for (t, k), u in dict(self.edges).items()},
+            {
+                (t, k): u if type(u) is Fraction else Fraction(u)
+                for (t, k), u in dict(self.edges).items()
+            },
         )
         object.__setattr__(self, "alpha", dict(self.alpha))
 
@@ -76,19 +80,29 @@ class ColorFlowGraph:
 
 
 def flow_equalities_ok(g: ColorFlowGraph) -> bool:
-    """Exact check of the per-thief, per-bead and total amount equalities."""
-    if sum(g.edges.values()) != len(g.split_beads):
+    """Exact check of the per-thief, per-bead and total amount equalities.
+
+    One pass over the edges sums every bead and every thief, in integer
+    units of 1/d, d the lcm of the edge denominators.
+    """
+    d = math.lcm(*(u.denominator for u in g.edges.values()))
+    bead_sum: dict[int, int] = {}
+    thief_sum: dict[int, int] = {}
+    for (t, k), u in g.edges.items():
+        amt = u.numerator * (d // u.denominator)
+        bead_sum[k] = bead_sum.get(k, 0) + amt
+        thief_sum[t] = thief_sum.get(t, 0) + amt
+    if sum(thief_sum.values()) != len(g.split_beads) * d:
         return False
-    for k in g.split_beads:
-        if sum(u for (t, kk), u in g.edges.items() if kk == k) != 1:
-            return False
+    if any(bead_sum.get(k, 0) != d for k in g.split_beads):
+        return False
     for t in range(1, g.q + 1):
-        total = sum(u for (tt, k), u in g.edges.items() if tt == t)
-        expected = g.alpha.get(t, 0) + Fraction(g.r, g.q)
-        if g.thief_edges(t):
-            if total != expected:
+        alpha = g.alpha.get(t, 0)
+        if t in thief_sum:
+            # thief_sum/d == alpha + r/q, cross-multiplied
+            if thief_sum[t] * g.q != (alpha * g.q + g.r) * d:
                 return False
-        elif total != 0 or g.alpha.get(t, 0) != 0:
+        elif alpha != 0:
             return False
     return True
 

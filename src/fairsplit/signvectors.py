@@ -25,7 +25,9 @@ Vectors are stored as the two index sets (x+, x-), which turns
 ``precedes`` into two subset tests.  Enumerative sweeps run over base-3
 code tables built with numpy, for n <= T_ENUMERATION_CAP; the scalar
 functions and the vectorized tables are kept in lockstep by the test
-suite.
+suite.  ``lambda_table`` and ``compute_t`` read J(x) from one cached
+verdict table per class size, broadcast over the code tensor of shape
+(3,)*n, in O(m 3^n) for m classes.
 """
 
 from __future__ import annotations
@@ -298,40 +300,69 @@ def _negation_table(n: int) -> np.ndarray:
     return neg
 
 
+@lru_cache(maxsize=None)
+def _class_verdict(v: int) -> np.ndarray:
+    """Saturation verdict of a class of v vertices, over its 3^v codes.
+
+    Entry is 0 where the class is not saturated, else the sign of the
+    label: the first nonzero entry's sign when the class is split
+    exactly in half, otherwise the side holding more than half.  The
+    code's digits are the class's entries in vertex order, least
+    significant first.
+    """
+    entries = _entry_table(v)
+    p = (entries > 0).sum(axis=0)
+    mn = (entries < 0).sum(axis=0)
+    # balanced codes have p = mn = v/2 >= 1, so the first sign is +-1 there
+    balanced = (2 * p == v) & (2 * mn == v)
+    verdict = np.where(2 * p > v, 1, np.where(2 * mn > v, -1, 0)).astype(np.int8)
+    verdict[balanced] = _first_sign_table(v)[balanced]
+    return verdict
+
+
+@lru_cache(maxsize=None)
+def _class_key(v: int, j: int) -> np.ndarray:
+    """int8 key 2j + (sign < 0) where color j, a class of v vertices, is
+    saturated with that label sign, else 0."""
+    verdict = _class_verdict(v)
+    return np.where(verdict != 0, 2 * j + (verdict < 0), 0).astype(np.int8)
+
+
+@lru_cache(maxsize=None)
+def _signed_alt_table(n: int) -> np.ndarray:
+    """first sign * alt as int32: the label of every code with J(x) empty."""
+    return _first_sign_table(n).astype(np.int32) * _alt_table(n)
+
+
 def _saturation(classes: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     """j' = max J(x) (0 where J(x) is empty) and the sign of x's label
     +-(t + j'), for all 3^n codes.
 
-    One vectorized pass per class column: each class accumulates its +
-    and - counts and the sign of its first nonzero entry, and a later
-    saturated color overrides an earlier one.
+    The codes are viewed as a tensor of shape (3,)*n, where axis n-i
+    holds vertex i's digit.  Color j's key (``_class_key``) depends only
+    on its class's digits, so it is reshaped to 3 on the class's axes
+    and 1 elsewhere and broadcast: ascending axes are descending
+    vertices, the key table's own digit order, so no transpose is
+    needed.  The key grows with j, so one running maximum, a broadcast
+    pass per class, leaves 2j' + (sign < 0) at every code: O(m 3^n).
     """
-    entries = _entry_table(n)
-    jprime = np.zeros(3**n, dtype=np.int32)
-    sign = np.zeros(3**n, dtype=np.int8)
+    key = np.zeros((3,) * n, dtype=np.int8)
     for j, cls in enumerate(classes, start=1):
-        v = len(cls)
-        p = np.zeros(3**n, dtype=np.int8)
-        mn = np.zeros(3**n, dtype=np.int8)
-        first = np.zeros(3**n, dtype=np.int8)
-        for i in sorted(cls):
-            col = entries[i - 1]
-            p += col > 0
-            mn += col < 0
-            first = np.where(first == 0, col, first)
-        # balanced rows have p = mn = v/2 >= 1, so first is +-1 there
-        balanced = (2 * p == v) & (2 * mn == v)
-        saturated = balanced | (2 * np.maximum(p, mn) > v)
-        np.copyto(jprime, j, where=saturated)
-        np.copyto(sign, np.where(balanced, first, np.where(2 * p > v, 1, -1)), where=saturated)
-    return jprime, sign
+        shape = [1] * n
+        for i in cls:
+            shape[n - i] = 3
+        np.maximum(key, _class_key(len(cls), j).reshape(shape), out=key)
+    key = key.reshape(-1)
+    return (key >> 1).astype(np.int32), (key > 0).view(np.int8) - 2 * (key & 1)
 
 
 def lambda_table(classes: Partition) -> tuple[np.ndarray, int]:
     """Vectorized ``lambda_map`` over all 3^n codes.
 
     Returns (labels, t); labels[0] (the zero vector) is 0 and outside
-    the labeling's domain.  Scalar lambda_map and this table agree
+    the labeling's domain.  The labels start from the cached first-sign
+    times alt table and take sign * (t + j') wherever ``_saturation``
+    finds a saturated color.  Scalar lambda_map and this table agree
     entrywise (tested exhaustively for small n).
     """
     n = check_partition(classes)
@@ -341,15 +372,11 @@ def lambda_table(classes: Partition) -> tuple[np.ndarray, int]:
         )
     jprime, sign = _saturation(classes, n)
     has_j = jprime > 0
-    alt_t = _alt_table(n).astype(np.int32)
-    t = int(alt_t[~has_j].max())
-    labels = np.where(
-        has_j,
-        sign * (t + jprime),
-        _first_sign_table(n).astype(np.int32) * alt_t,
-    )
+    t = int(_alt_table(n)[~has_j].max())
+    labels = _signed_alt_table(n).copy()
+    np.copyto(labels, sign * (t + jprime), where=has_j)
     labels[0] = 0
-    return labels.astype(np.int32), t
+    return labels, t
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ preserve every thief's per-color totals on a sweep.
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,87 @@ def test_cancel_cycles_on_pieces_of_one_over_2q():
                     g = build_flow_graph(out, neck, j)
                     assert flow_equalities_ok(g), (colors, q, j)
                     assert is_forest(g), (colors, q, j)
+
+
+# === flow equalities against the per-sum oracle ===
+
+def flow_equalities_oracle(g):
+    """The flow equalities by one Fraction sum per bead, per thief and in total."""
+    if sum(g.edges.values()) != len(g.split_beads):
+        return False
+    for k in g.split_beads:
+        if sum(u for (t, kk), u in g.edges.items() if kk == k) != 1:
+            return False
+    for t in range(1, g.q + 1):
+        total = sum(u for (tt, k), u in g.edges.items() if tt == t)
+        expected = g.alpha.get(t, 0) + Fraction(g.r, g.q)
+        if g.thief_edges(t):
+            if total != expected:
+                return False
+        elif total != 0 or g.alpha.get(t, 0) != 0:
+            return False
+    return True
+
+
+def tampered_graphs(g):
+    """(name, graph, must_fail) for each way of breaking g's equalities."""
+    step = F(1, g.q)
+    idle = [t for t in range(1, g.q + 1) if not g.thief_edges(t)]
+    out = []
+    if idle:
+        out.append(("idle thief with alpha", replace(g, alpha={**g.alpha, idle[0]: 1}), True))
+    if not g.edges:
+        return out
+    (t, k), u = next(iter(g.edges.items()))
+    outside = max(g.split_beads) + 1
+    out += [
+        ("bead off by 1/q", replace(g, edges={**g.edges, (t, k): u + step}), True),
+        ("thief off", replace(g, alpha={**g.alpha, t: g.alpha.get(t, 0) + 1}), True),
+        ("bead outside split_beads", replace(g, edges={**g.edges, (t, outside): step}), True),
+        ("thief outside 1..q", replace(g, edges={**g.edges, (g.q + 1, k): step}), True),
+        # only the total sees an edge that no bead or thief sum covers
+        ("edge outside both", replace(g, edges={**g.edges, (g.q + 1, outside): step}), True),
+        # a zero amount from a thief past q changes no sum that is checked
+        ("zero edge outside 1..q", replace(g, edges={**g.edges, (g.q + 1, k): F(0)}), False),
+    ]
+    # 1/q moved between two beads of one thief breaks only the bead sums
+    for t in range(1, g.q + 1):
+        mine = g.thief_edges(t)
+        if len(mine) >= 2:
+            a, b = mine[:2]
+            moved = {**g.edges, a: g.edges[a] + step, b: g.edges[b] - step}
+            out.append(("beads off, sums kept", replace(g, edges=moved), True))
+            break
+    return out
+
+
+def sweep_sharing_graphs():
+    """Every sharing graph of the pipeline sweeps, before and after cancelling."""
+    rng = random.Random(9)
+    for n in range(1, 7):
+        for colors in canonical_colorings(n, 3):
+            for q in (2, 3, 4):
+                neck = Necklace(colors, q)
+                conts = [search_continuous(neck)]
+                if n <= 4:
+                    conts.append(halves_of_shares(neck, rng))
+                for cont in conts:
+                    for c in (cont, cancel_cycles(cont, neck)):
+                        for j in range(1, neck.m + 1):
+                            yield build_flow_graph(c, neck, j)
+
+
+def test_flow_equalities_match_oracle_on_sweep_and_tampering():
+    graphs = tampered = 0
+    for g in sweep_sharing_graphs():
+        assert flow_equalities_ok(g) and flow_equalities_oracle(g), g
+        graphs += 1
+        for name, bad, must_fail in tampered_graphs(g):
+            got = flow_equalities_ok(bad)
+            assert got == flow_equalities_oracle(bad), (name, bad)
+            assert got != must_fail, (name, bad)
+            tampered += 1
+    assert graphs > 1000 and tampered > 4 * graphs
 
 
 # === per-remainder rounding ===

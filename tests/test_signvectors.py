@@ -3,6 +3,8 @@
 The oracles below recompute alt, J, and t straight from their
 definitions (subsequence enumeration, counting, full vector scans) so
 the closed-form implementations are never trusted on their own word.
+``saturation_oracle`` is the per-column saturation pass that the
+broadcast verdict tables of ``_saturation`` replaced.
 """
 
 import itertools
@@ -15,6 +17,10 @@ from fairsplit.errors import InstanceTooLargeError
 from fairsplit.signvectors import (
     T_ENUMERATION_CAP,
     SignVector,
+    _alt_table,
+    _entry_table,
+    _first_sign_table,
+    _saturation,
     alt,
     compute_J,
     compute_t,
@@ -61,6 +67,52 @@ def t_oracle(classes) -> int:
         if not J_oracle(x, classes):
             best = max(best, alt_oracle(entries))
     return best
+
+
+def saturation_oracle(classes, n):
+    """(j', sign) for all 3^n codes, one vectorized pass per class column.
+
+    Each class accumulates its + and - counts and the sign of its first
+    nonzero entry, and a later saturated color overrides an earlier one.
+    """
+    entries = _entry_table(n)
+    jprime = np.zeros(3**n, dtype=np.int32)
+    sign = np.zeros(3**n, dtype=np.int8)
+    for j, cls in enumerate(classes, start=1):
+        v = len(cls)
+        p = np.zeros(3**n, dtype=np.int8)
+        mn = np.zeros(3**n, dtype=np.int8)
+        first = np.zeros(3**n, dtype=np.int8)
+        for i in sorted(cls):
+            col = entries[i - 1]
+            p += col > 0
+            mn += col < 0
+            first = np.where(first == 0, col, first)
+        # balanced rows have p = mn = v/2 >= 1, so first is +-1 there
+        balanced = (2 * p == v) & (2 * mn == v)
+        saturated = balanced | (2 * np.maximum(p, mn) > v)
+        np.copyto(jprime, j, where=saturated)
+        np.copyto(sign, np.where(balanced, first, np.where(2 * p > v, 1, -1)), where=saturated)
+    return jprime, sign
+
+
+def labels_from_saturation(jprime, sign, n):
+    """(labels, t) from the output of ``saturation_oracle``, as ``lambda_table`` gives them."""
+    has_j = jprime > 0
+    alt_t = _alt_table(n).astype(np.int32)
+    t = int(alt_t[~has_j].max())
+    labels = np.where(
+        has_j,
+        sign * (t + jprime),
+        _first_sign_table(n).astype(np.int32) * alt_t,
+    )
+    labels[0] = 0
+    return labels.astype(np.int32), t
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def precedes_oracle(x: SignVector, y: SignVector) -> bool:
@@ -219,6 +271,82 @@ def test_lambda_labels_within_t_plus_m():
         body = labels[1:]
         assert (body != 0).all()
         assert (np.abs(body) <= t + m).all()
+
+
+# === broadcast saturation against the per-column oracle ===
+
+def assert_matches_saturation_oracle(classes, n):
+    want_j, want_sign = saturation_oracle(classes, n)
+    got_j, got_sign = _saturation(classes, n)
+    assert_same_array(got_j, want_j)
+    assert_same_array(got_sign, want_sign)
+    want_labels, want_t = labels_from_saturation(want_j, want_sign, n)
+    labels, t = lambda_table(classes)
+    assert_same_array(labels, want_labels)
+    assert t == want_t == compute_t(classes)
+    return labels
+
+
+def test_saturation_matches_oracle_on_every_partition_up_to_n8():
+    count = 0
+    for n in range(1, 9):
+        for classes in set_partitions(n):
+            assert_matches_saturation_oracle(classes, n)
+            count += 1
+    assert count == 5295
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [
+        tuple(tuple(range(c, 13, 3)) for c in (1, 2, 3)),  # colors [1,2,3]*4
+        (tuple(range(1, 13)),),
+        tuple((i,) for i in range(1, 13)),
+    ],
+    ids=["three-colors", "one-class", "singletons"],
+)
+def test_saturation_matches_oracle_at_n12(classes):
+    assert_matches_saturation_oracle(classes, 12)
+
+
+def test_saturation_of_empty_partition():
+    labels = assert_matches_saturation_oracle((), 0)
+    assert labels.tolist() == [0]
+
+
+ORDER_VARIANTS = [((1, 3), (2,)), ((3, 1), (2,)), ({1, 3}, [2]), ((2,), (1, 3)), ((2,), [3, 1])]
+ORDER_VARIANTS_4 = [((1, 3), (2, 4)), ({2, 4}, [3, 1]), ([4, 2], (1, 3)), ((3, 1), {4, 2})]
+
+
+@pytest.mark.parametrize("classes", ORDER_VARIANTS + ORDER_VARIANTS_4, ids=str)
+def test_labels_ignore_vertex_order_inside_a_class(classes):
+    n = sum(len(c) for c in classes)
+    labels = assert_matches_saturation_oracle(classes, n)
+    sorted_labels, _ = lambda_table(tuple(tuple(sorted(c)) for c in classes))
+    assert np.array_equal(labels, sorted_labels)
+    t = compute_t(classes)
+    for x in enumerate_sign_vectors(n):
+        assert labels[vector_code(x)] == lambda_map(x, classes, t), (classes, str(x))
+
+
+def test_class_order_decides_the_color_index():
+    # j' = max J(x) follows the class order, so swapping classes moves labels
+    a, _ = lambda_table(((1, 3), (2,)))
+    b, _ = lambda_table(((2,), (1, 3)))
+    assert not np.array_equal(a, b)
+
+
+def test_labels_ignore_vertex_order_on_seeded_partitions():
+    rng = np.random.default_rng(10)
+    for n in (5, 7, 9):
+        for _ in range(10):
+            rgs = rng.integers(0, rng.integers(1, n + 1), size=n)
+            classes = [
+                [i + 1 for i in range(n) if rgs[i] == c] for c in np.unique(rgs)
+            ]
+            shuffled = [list(rng.permutation(c)) for c in classes]
+            labels = assert_matches_saturation_oracle(shuffled, n)
+            assert np.array_equal(labels, lambda_table(classes)[0])
 
 
 # === tucker_verify ===
