@@ -39,9 +39,6 @@ from .errors import NODE_BUDGET, BudgetExceededError, InternalInvariantError, Sc
 # not called here; kept because perfbench/tracing.py patches this name
 from .linsolve import find_rational_point  # noqa: F401
 
-# the old names, kept as aliases for one release
-CONTINUOUS_BUDGET = DISCRETE_BUDGET = NODE_BUDGET
-
 
 @dataclass(frozen=True)
 class Necklace:

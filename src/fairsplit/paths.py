@@ -35,7 +35,6 @@ from .errors import NODE_BUDGET, BudgetExceededError, InternalInvariantError, Pr
 
 logger = logging.getLogger(__name__)
 
-STATE_BUDGET = NODE_BUDGET  # the old name, kept as an alias for one release
 PAIR_BUDGET = 10**7
 
 
@@ -192,49 +191,26 @@ def solve_pair_split(path: ColoredPath, *, budget: int = PAIR_BUDGET) -> PairSpl
     raise InternalInvariantError("no pair split found; one must always exist")
 
 
+# q-stable clause names as the pair-split verifier reports them
+_PAIR_CLAUSE = {
+    "stability": "independence",
+    "lower-bound": "color-balance",
+    "upper-bound": "color-balance",
+}
+
+
 def verify_pair_split(path: ColoredPath, cand: PairSplit) -> list[str]:
-    """Check a pair split clause by clause; returns violated clause names."""
-    violations: list[str] = []
-    classes = path.classes
-    n = path.n
+    """Check a pair split clause by clause; returns violated clause names.
 
-    removed_ok = set(cand.removed.keys()) == set(range(1, path.m + 1)) and all(
-        v in classes[j - 1] for j, v in cand.removed.items()
+    This is ``verify_qstable_split`` at q=2 with the upper bound, on
+    ``pair_split_as_stable(cand)``: distance 2 is independence, and the
+    two per-color bounds together are color-balance, 2|S_i & V_j|
+    between |V_j| - 2 and |V_j|.
+    """
+    clauses = verify_qstable_split(
+        path, 2, pair_split_as_stable(cand, path), enforce_upper=True
     )
-    removed_set = set(cand.removed.values())
-    parts = [cand.s1, cand.s2, removed_set]
-    disjoint = (
-        not (cand.s1 & cand.s2)
-        and not (cand.s1 & removed_set)
-        and not (cand.s2 & removed_set)
-    )
-    covers = cand.s1 | cand.s2 | removed_set == set(range(1, n + 1))
-    per_color_count = all(
-        sum(1 for v in cls if v in cand.s1) + sum(1 for v in cls if v in cand.s2)
-        == len(cls) - 1
-        for cls in classes
-    )
-    if not (removed_ok and disjoint and covers and per_color_count and len(parts[2]) == path.m):
-        violations.append("coverage")
-
-    for s in (cand.s1, cand.s2):
-        ordered = sorted(s)
-        if any(b - a == 1 for a, b in zip(ordered, ordered[1:])):
-            violations.append("independence")
-            break
-
-    if abs(len(cand.s1) - len(cand.s2)) > 1:
-        violations.append("balance")
-
-    for j, cls in enumerate(classes, start=1):
-        v = len(cls)
-        c1 = sum(1 for u in cls if u in cand.s1)
-        c2 = sum(1 for u in cls if u in cand.s2)
-        if 2 * max(c1, c2) > v or 2 * min(c1, c2) < v - 2:
-            violations.append("color-balance")
-            break
-
-    return violations
+    return list(dict.fromkeys(_PAIR_CLAUSE.get(c, c) for c in clauses))
 
 
 def solve_cycle_split(path: ColoredPath, *, budget: int = PAIR_BUDGET) -> CycleSplit:
@@ -248,41 +224,40 @@ def solve_cycle_split(path: ColoredPath, *, budget: int = PAIR_BUDGET) -> CycleS
     if path.n < 3:
         raise PreconditionError("a cycle needs at least three vertices")
     split = solve_pair_split(path, budget=budget)
-    n, m = path.n, path.m
-    induced = tuple(_cycle_edges_within(s, n) for s in (split.s1, split.s2))
-    k = n - m
-    bound = -(-k // 2) - k // 2  # 1 if odd, 0 if even
-    small_independent = any(
-        induced[i] == 0 and len((split.s1, split.s2)[i]) == k // 2 for i in range(2)
-    )
-    if not small_independent or max(induced) > bound:
+    induced, bound, violations = _cycle_clauses(path, split)
+    if violations:
         raise InternalInvariantError("cycle split guarantee failed")
     return CycleSplit(split=split, induced_edges=induced, max_extra_edges=bound)
 
 
-def _cycle_edges_within(s: frozenset[int], n: int) -> int:
-    ordered = sorted(s)
-    count = sum(1 for a, b in zip(ordered, ordered[1:]) if b - a == 1)
-    if n >= 3 and 1 in s and n in s:
-        count += 1
-    return count
+def _cycle_clauses(
+    path: ColoredPath, split: PairSplit
+) -> tuple[tuple[int, int], int, list[str]]:
+    """Both sides' induced cycle-edge counts, their bound (n-m) mod 2,
+    and the cycle clauses the split violates."""
+    sets = (split.s1, split.s2)
+    induced = []
+    for s in sets:
+        ordered = sorted(s)
+        within = sum(1 for a, b in zip(ordered, ordered[1:]) if b - a == 1)
+        induced.append(within + (path.n >= 3 and 1 in s and path.n in s))
+    k = path.n - path.m
+    bound = k % 2
+    violations: list[str] = []
+    if not any(induced[i] == 0 and len(sets[i]) == k // 2 for i in range(2)):
+        violations.append("cycle-independence")
+    if max(induced) > bound:
+        violations.append("cycle-edges")
+    return tuple(induced), bound, violations
 
 
 def verify_cycle_split(path: ColoredPath, cand: CycleSplit) -> list[str]:
     """Check a cycle split clause by clause; returns violated clause names."""
     violations = verify_pair_split(path, cand.split)
-    n, m = path.n, path.m
-    k = n - m
-    bound = -(-k // 2) - k // 2
-    sets = (cand.split.s1, cand.split.s2)
-    induced = tuple(_cycle_edges_within(s, n) for s in sets)
+    induced, bound, cycle_violations = _cycle_clauses(path, cand.split)
     if induced != cand.induced_edges or cand.max_extra_edges != bound:
         violations.append("edge-counts")
-    if not any(induced[i] == 0 and len(sets[i]) == k // 2 for i in range(2)):
-        violations.append("cycle-independence")
-    if max(induced) > bound:
-        violations.append("cycle-edges")
-    return violations
+    return violations + cycle_violations
 
 
 def enumerate_qstable_splits(
@@ -290,7 +265,6 @@ def enumerate_qstable_splits(
     q: int,
     *,
     enforce_upper: bool = False,
-    require_lower: bool = True,
     budget: int = NODE_BUDGET,
 ) -> Iterator[StableSplit]:
     """All q-stable splits, in lexicographic order of the assignment vector.
@@ -300,11 +274,10 @@ def enumerate_qstable_splits(
     when it breaks stability, the class-size ceiling, the quota of q-1
     discards per color or, with ``enforce_upper``, the per-color upper
     bound; at the last vertex of a color it must also close the color
-    with exactly q-1 discards and, with ``require_lower``, the per-color
-    lower bound in every class.  ``require_lower=False`` enumerates every
-    stability/balance-feasible split.  Every node, leaves included,
-    costs one unit of ``budget`` before it is expanded; running out
-    raises ``BudgetExceededError``, which never means no split exists.
+    with exactly q-1 discards and the per-color lower bound in every
+    class.  Every node, leaves included, costs one unit of ``budget``
+    before it is expanded; running out raises ``BudgetExceededError``,
+    which never means no split exists.
     """
     if q < 1:
         raise PreconditionError("q must be at least 1")
@@ -321,7 +294,7 @@ def enumerate_qstable_splits(
     # all s vertices of a color.
     gap = [0] + [q] * q
     cap = [n] + [-(-(n - (q - 1) * m) // q)] * q
-    low = [[q - 1] + [(s + 1) // q - 1 if require_lower else 0] * q for s in sizes]
+    low = [[q - 1] + [(s + 1) // q - 1] * q for s in sizes]
     high = [[q - 1] + [s // q if enforce_upper else s] * q for s in sizes]
 
     counts = [[0] * (q + 1) for _ in range(m)]  # counts[j][a]: color j given value a
@@ -396,9 +369,7 @@ def solve_qstable_bruteforce(
     falsify the splitting conjecture, so it is logged loudly first.
     """
     found = next(
-        enumerate_qstable_splits(
-            path, q, enforce_upper=enforce_upper, require_lower=True, budget=budget
-        ),
+        enumerate_qstable_splits(path, q, enforce_upper=enforce_upper, budget=budget),
         None,
     )
     if found is None:
@@ -417,17 +388,14 @@ def verify_qstable_split(
     """Check a q-stable split clause by clause; returns violated clauses."""
     violations: list[str] = []
     classes = path.classes
-    n = path.n
+    n, m = path.n, len(classes)
 
-    all_sets = list(cand.classes) + [cand.removed.get(j, frozenset()) for j in range(1, path.m + 1)]
-    union: set[int] = set()
-    total = 0
-    for s in all_sets:
-        union |= s
-        total += len(s)
-    removed_ok = set(cand.removed.keys()) == set(range(1, path.m + 1)) and all(
-        len(cand.removed[j]) == q - 1 and cand.removed[j] <= set(classes[j - 1])
-        for j in range(1, path.m + 1)
+    removed = [cand.removed.get(j, frozenset()) for j in range(1, m + 1)]
+    all_sets = [*cand.classes, *removed]
+    union = set().union(*all_sets)
+    total = sum(map(len, all_sets))
+    removed_ok = cand.removed.keys() == set(range(1, m + 1)) and all(
+        len(r) == q - 1 and r <= set(cls) for r, cls in zip(removed, classes)
     )
     if not (removed_ok and union == set(range(1, n + 1)) and total == n and cand.q == q):
         violations.append("coverage")
@@ -442,19 +410,11 @@ def verify_qstable_split(
     if lens and max(lens) - min(lens) > 1:
         violations.append("balance")
 
-    for j, cls in enumerate(classes, start=1):
-        v = len(cls)
-        lo = (v + 1) // q - 1
-        if any(sum(1 for u in cls if u in s) < lo for s in cand.classes):
-            violations.append("lower-bound")
-            break
-
-    if enforce_upper:
-        for j, cls in enumerate(classes, start=1):
-            v = len(cls)
-            if any(q * sum(1 for u in cls if u in s) > v for s in cand.classes):
-                violations.append("upper-bound")
-                break
+    counts = [(len(s.intersection(cls)), len(cls)) for cls in classes for s in cand.classes]
+    if any(c < (v + 1) // q - 1 for c, v in counts):
+        violations.append("lower-bound")
+    if enforce_upper and any(q * c > v for c, v in counts):
+        violations.append("upper-bound")
 
     return violations
 

@@ -6,15 +6,13 @@ u_e in (0,1).  Every thief's amounts sum to alpha_tj + r_j/q for a
 nonnegative integer alpha_tj, and every shared bead's amounts sum
 to 1.  After cancelling cycles in these graphs (a flow operation
 that only moves cuts, never adds any), each graph is a forest and
-the fractional assignment can be rounded to whole beads:
+the fractional assignment can be rounded to whole beads by the
+b-factor with b(bead) = 1 and b(t) = alpha_tj + [t in A_j]:
 
-* r_j = 0: a b-factor with b(t) = alpha_tj reroutes the flow
-  integrally, so every thief keeps exactly a_j/q beads.
-* r_j = 1: a b-factor with one extra unit on a chosen thief hands
-  that thief the ceiling and everyone else the floor.
+* r_j = 0: A_j is empty, so every thief keeps exactly a_j/q beads.
+* r_j = 1: A_j is the chosen thief, who gets the ceiling.
 * r_j = q-1: the forest shape forces |B_j| = q-1 and alpha = 0, and
-  a perfect matching avoiding one designated thief disadvantages
-  exactly that thief.
+  A_j is every thief but the one left short.
 
 ``split_with_advantages`` chains these stages; it realizes any
 advantage assignment whose remainders all lie in {0, 1, q-1}.  The
@@ -32,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Container, Mapping
 
 from .errors import InternalInvariantError, PreconditionError
 from .matching import BipartiteGraph, find_b_factor
@@ -74,9 +72,6 @@ class ColorFlowGraph:
 
     def thief_edges(self, t: int) -> list[tuple[int, int]]:
         return [e for e in self.edges if e[0] == t]
-
-    def bead_edges(self, k: int) -> list[tuple[int, int]]:
-        return [e for e in self.edges if e[1] == k]
 
 
 def flow_equalities_ok(g: ColorFlowGraph) -> bool:
@@ -352,10 +347,21 @@ def cancel_cycles(cont: ContinuousSplitting, neck: Necklace) -> ContinuousSplitt
     return out
 
 
-def _check_rounding_input(g: ColorFlowGraph, expect_r: int | None = None) -> None:
-    if expect_r is not None and g.r != expect_r:
+def _round_forest(
+    g: ColorFlowGraph,
+    r: int,
+    advantaged: Container[int],
+    check: Callable[[], None] = lambda: None,
+) -> dict[int, int]:
+    """Bead -> thief by the b-factor b(t) = alpha_t + [t advantaged],
+    b(bead) = 1, once g passes the shared checks and the case's ``check``.
+
+    It is unique: two different b-factors of a forest would differ on a
+    nonempty edge set with every degree even, and so on a cycle.
+    """
+    if g.r != r:
         raise PreconditionError(
-            f"this rounding handles r={expect_r}, got r={g.r} for color {g.color}"
+            f"this rounding handles r={r}, got r={g.r} for color {g.color}"
         )
     if not flow_equalities_ok(g):
         raise PreconditionError(
@@ -365,79 +371,60 @@ def _check_rounding_input(g: ColorFlowGraph, expect_r: int | None = None) -> Non
         raise PreconditionError(
             f"color {g.color}: sharing graph has a cycle; cancel cycles first"
         )
-
-
-def round_color_r0(g: ColorFlowGraph) -> dict[int, int]:
-    """Whole-bead assignment for a color with zero remainder."""
-    _check_rounding_input(g, expect_r=0)
-    left = sorted({t for t, _ in g.edges})
-    graph = BipartiteGraph(left=tuple(left), right=g.split_beads, edges=g.edges.keys())
+    check()
+    thieves = tuple(range(1, g.q + 1))
     result = find_b_factor(
-        graph,
-        b_left={t: g.alpha.get(t, 0) for t in left},
-        b_right={k: 1 for k in g.split_beads},
+        BipartiteGraph(left=thieves, right=g.split_beads, edges=g.edges.keys()),
+        b_left={t: g.alpha.get(t, 0) + (t in advantaged) for t in thieves},
+        b_right=dict.fromkeys(g.split_beads, 1),
     )
     if result.factor is None:
         raise InternalInvariantError(
-            f"no integral rerouting for color {g.color}; witness "
+            f"no b-factor for color {g.color} with advantaged thieves "
+            f"{sorted(advantaged)}; witness "
             f"{sorted(result.witness_left)} / {sorted(result.witness_right)}"
         )
     return {k: t for t, k in result.factor}
 
 
+def round_color_r0(g: ColorFlowGraph) -> dict[int, int]:
+    """Whole-bead assignment for a color with zero remainder."""
+    return _round_forest(g, 0, ())
+
+
 def round_color_r1(g: ColorFlowGraph, chosen: int) -> dict[int, int]:
     """Whole-bead assignment handing the chosen thief one extra bead."""
-    _check_rounding_input(g, expect_r=1)
-    if not 1 <= chosen <= g.q:
-        raise PreconditionError(f"chosen thief {chosen} not in 1..{g.q}")
-    total_alpha = sum(g.alpha.get(t, 0) for t in range(1, g.q + 1))
-    if len(g.split_beads) != total_alpha + 1:
-        raise PreconditionError(
-            f"color {g.color}: expected |B_j| = sum(alpha)+1 = {total_alpha + 1}, "
-            f"got {len(g.split_beads)}"
-        )
-    left = tuple(range(1, g.q + 1))
-    graph = BipartiteGraph(left=left, right=g.split_beads, edges=g.edges.keys())
-    result = find_b_factor(
-        graph,
-        b_left={t: g.alpha.get(t, 0) + (1 if t == chosen else 0) for t in left},
-        b_right={k: 1 for k in g.split_beads},
-    )
-    if result.factor is None:
-        raise InternalInvariantError(
-            f"no b-factor for color {g.color} with chosen thief {chosen}; "
-            "one is guaranteed to exist"
-        )
-    return {k: t for t, k in result.factor}
+
+    def check() -> None:
+        if not 1 <= chosen <= g.q:
+            raise PreconditionError(f"chosen thief {chosen} not in 1..{g.q}")
+        total_alpha = sum(g.alpha.get(t, 0) for t in range(1, g.q + 1))
+        if len(g.split_beads) != total_alpha + 1:
+            raise PreconditionError(
+                f"color {g.color}: expected |B_j| = sum(alpha)+1 = {total_alpha + 1}, "
+                f"got {len(g.split_beads)}"
+            )
+
+    return _round_forest(g, 1, (chosen,), check)
 
 
 def round_color_rq1(g: ColorFlowGraph, disadvantaged: int) -> dict[int, int]:
     """Whole-bead assignment leaving only the disadvantaged thief short."""
-    _check_rounding_input(g, expect_r=g.q - 1)
-    if not 1 <= disadvantaged <= g.q:
-        raise PreconditionError(f"thief {disadvantaged} not in 1..{g.q}")
-    # acyclicity plus the flow equalities force this shape
-    if len(g.split_beads) != g.q - 1 or any(
-        g.alpha.get(t, 0) != 0 for t in range(1, g.q + 1)
-    ):
-        raise InternalInvariantError(
-            f"color {g.color}: acyclic r=q-1 graph must have q-1 split beads "
-            "and zero alpha"
-        )
-    left = tuple(t for t in range(1, g.q + 1) if t != disadvantaged)
-    edges = [(t, k) for t, k in g.edges if t != disadvantaged]
-    graph = BipartiteGraph(left=left, right=g.split_beads, edges=edges)
-    result = find_b_factor(
-        graph,
-        b_left={t: 1 for t in left},
-        b_right={k: 1 for k in g.split_beads},
-    )
-    if result.factor is None:
-        raise InternalInvariantError(
-            f"no perfect matching avoiding thief {disadvantaged} for color "
-            f"{g.color}; the matching condition is guaranteed"
-        )
-    return {k: t for t, k in result.factor}
+
+    def check() -> None:
+        if not 1 <= disadvantaged <= g.q:
+            raise PreconditionError(f"thief {disadvantaged} not in 1..{g.q}")
+        # acyclicity plus the flow equalities force this shape
+        if len(g.split_beads) != g.q - 1 or any(
+            g.alpha.get(t, 0) != 0 for t in range(1, g.q + 1)
+        ):
+            raise InternalInvariantError(
+                f"color {g.color}: acyclic r=q-1 graph must have q-1 split beads "
+                "and zero alpha"
+            )
+
+    others = set(range(1, g.q + 1)) - {disadvantaged}
+    return _round_forest(g, g.q - 1, others, check)
 
 
 def split_with_advantages(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -184,18 +184,12 @@ def compute_J(x: SignVector, classes: Partition) -> frozenset[int]:
 
 
 def compute_t(classes: Partition) -> int:
-    """max alt(x) over all x with J(x) empty, by enumerating all 3^n vectors.
+    """max alt(x) over all x with J(x) empty: the t of ``lambda_table``.
 
     The zero vector always qualifies, so the maximum exists.  Capped at
     n <= T_ENUMERATION_CAP.
     """
-    n = check_partition(classes)
-    if n > T_ENUMERATION_CAP:
-        raise InstanceTooLargeError(
-            f"compute_t enumerates 3^n vectors; n={n} exceeds cap {T_ENUMERATION_CAP}"
-        )
-    jprime, _ = _saturation(classes, n)
-    return int(_alt_table(n)[jprime == 0].max())
+    return lambda_table(classes)[1]
 
 
 def lambda_map(x: SignVector, classes: Partition, t: int) -> int:
@@ -356,6 +350,13 @@ def _saturation(classes: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (key >> 1).astype(np.int32), (key > 0).view(np.int8) - 2 * (key & 1)
 
 
+def _check_cap(name: str, n: int) -> None:
+    if n > T_ENUMERATION_CAP:
+        raise InstanceTooLargeError(
+            f"{name} enumerates 3^n vectors; n={n} exceeds cap {T_ENUMERATION_CAP}"
+        )
+
+
 def lambda_table(classes: Partition) -> tuple[np.ndarray, int]:
     """Vectorized ``lambda_map`` over all 3^n codes.
 
@@ -366,10 +367,7 @@ def lambda_table(classes: Partition) -> tuple[np.ndarray, int]:
     entrywise (tested exhaustively for small n).
     """
     n = check_partition(classes)
-    if n > T_ENUMERATION_CAP:
-        raise InstanceTooLargeError(
-            f"lambda_table enumerates 3^n vectors; n={n} exceeds cap {T_ENUMERATION_CAP}"
-        )
+    _check_cap("lambda_table", n)
     jprime, sign = _saturation(classes, n)
     has_j = jprime > 0
     t = int(_alt_table(n)[~has_j].max())
@@ -400,7 +398,7 @@ class TuckerReport:
     lemma_contradiction: bool
 
 
-Labeling = Union[Mapping[SignVector, int], Callable[[SignVector], int], np.ndarray]
+Labeling = Union[Mapping[SignVector, int], np.ndarray]
 
 
 def _labeling_to_array(labeling: Labeling, n: int) -> np.ndarray:
@@ -409,10 +407,6 @@ def _labeling_to_array(labeling: Labeling, n: int) -> np.ndarray:
             raise ValueError(f"label array must have shape (3^{n},)")
         return labeling.astype(np.int64)
     out = np.zeros(3**n, dtype=np.int64)
-    if callable(labeling) and not isinstance(labeling, Mapping):
-        for code in range(1, 3**n):
-            out[code] = int(labeling(vector_from_code(code, n)))
-        return out
     for code in range(1, 3**n):
         x = vector_from_code(code, n)
         try:
@@ -491,10 +485,7 @@ def tucker_verify(labeling: Labeling, n: int, s: int) -> TuckerReport:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > T_ENUMERATION_CAP:
-        raise InstanceTooLargeError(
-            f"tucker_verify enumerates 3^n vectors; n={n} exceeds cap {T_ENUMERATION_CAP}"
-        )
+    _check_cap("tucker_verify", n)
     labels = _labeling_to_array(labeling, n)
     labels[0] = 0
     body = labels[1:]

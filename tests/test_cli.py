@@ -5,6 +5,8 @@ Checks the exit-code contract (0 ok, 2 schema, 4 precondition,
 that every emitted split re-parses and passes its verifier.
 """
 
+import importlib
+import importlib.util
 import io
 import json
 import time
@@ -423,3 +425,18 @@ def test_conjecture_scan_long_one_color_paths(capsys):
     assert code == 0
     assert out["found"] == out["scanned"] == 13  # n=1 has too few vertices
     assert out["counterexamples"] == []
+
+
+def test_trace_patches_resolve():
+    # perfbench/tracing.py times each layer by patching these names, so a
+    # rename would break ``perfbench/run.py --trace 1``
+    tracing_py = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_py)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        (module, attr)
+        for module, attr, _ in tracing.PATCHES
+        if not hasattr(importlib.import_module(f"fairsplit.{module}"), attr)
+    ]
+    assert tracing.PATCHES and missing == []

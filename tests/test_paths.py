@@ -84,7 +84,7 @@ def split_to_assignment(path, split: StableSplit):
     return tuple(out)
 
 
-def qstable_assignments_oracle(colors, q, enforce_upper=False, require_lower=True):
+def qstable_assignments_oracle(colors, q, enforce_upper=False):
     """All valid q-stable assignments in lexicographic order, by full product."""
     path = ColoredPath(colors)
     n = path.n
@@ -98,7 +98,7 @@ def qstable_assignments_oracle(colors, q, enforce_upper=False, require_lower=Tru
                 break
             for i in range(1, q + 1):
                 c = sum(1 for u in cls if assign[u - 1] == i)
-                if require_lower and c < max(0, (v + 1) // q - 1):
+                if c < max(0, (v + 1) // q - 1):
                     ok = False
                 if enforce_upper and c * q > v:
                     ok = False
@@ -224,6 +224,10 @@ def test_verify_pair_split_flags_color_imbalance():
     path = ColoredPath((1, 2, 1, 2, 1, 2))
     cand = PairSplit(removed={1: 5, 2: 6}, s1=frozenset({1, 3}), s2=frozenset({2, 4}))
     assert verify_pair_split(path, cand) == ["color-balance"]
+    # one side over half a color while the other keeps its floor: only
+    # overlapping parts can do that, so the upper bound is checked alone
+    over = PairSplit(removed={1: 3}, s1=frozenset({1, 3, 5}), s2=frozenset({2, 4}))
+    assert verify_pair_split(ColoredPath((1,) * 5), over) == ["coverage", "color-balance"]
 
 
 # === cycle split ===
@@ -266,13 +270,8 @@ def test_enumerate_matches_product_oracle():
             path = ColoredPath(colors)
             if any(len(cls) < q - 1 for cls in path.classes):
                 continue
-            for lower in (True, False):
-                got = [
-                    split_to_assignment(path, s)
-                    for s in enumerate_qstable_splits(path, q, require_lower=lower)
-                ]
-                want = qstable_assignments_oracle(colors, q, require_lower=lower)
-                assert got == want, (colors, q, lower)
+            got = [split_to_assignment(path, s) for s in enumerate_qstable_splits(path, q)]
+            assert got == qstable_assignments_oracle(colors, q), (colors, q)
 
 
 def test_enumerate_rejects_too_small_color_class():
@@ -340,7 +339,7 @@ def test_conjecture_counterexample_arithmetic_single_color_seven():
     # |V1| - 2 = 5 >= 6 covered vertices
     path = ColoredPath((1,) * 7)
     q = 3
-    splits = list(enumerate_qstable_splits(path, q, require_lower=False))
+    splits = list(enumerate_qstable_splits(path, q))
     assert splits
     best_min = max(min(len(c) for c in s.classes) for s in splits)
     assert best_min == 1

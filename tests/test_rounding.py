@@ -5,6 +5,7 @@ continuous splittings; cancellation is additionally checked to
 preserve every thief's per-color totals on a sweep.
 """
 
+import functools
 import itertools
 import random
 from dataclasses import replace
@@ -276,8 +277,9 @@ def tampered_graphs(g):
     return out
 
 
-def sweep_sharing_graphs():
-    """Every sharing graph of the pipeline sweeps, before and after cancelling."""
+def sweep_sharing_graphs(cancelled_only=False):
+    """Every sharing graph of the pipeline sweeps, before and after cancelling
+    (only after, with ``cancelled_only``)."""
     rng = random.Random(9)
     for n in range(1, 7):
         for colors in canonical_colorings(n, 3):
@@ -287,7 +289,8 @@ def sweep_sharing_graphs():
                 if n <= 4:
                     conts.append(halves_of_shares(neck, rng))
                 for cont in conts:
-                    for c in (cont, cancel_cycles(cont, neck)):
+                    cancelled = cancel_cycles(cont, neck)
+                    for c in (cancelled,) if cancelled_only else (cont, cancelled):
                         for j in range(1, neck.m + 1):
                             yield build_flow_graph(c, neck, j)
 
@@ -313,6 +316,43 @@ def test_rounders_insist_on_their_remainder_and_on_forests():
         round_color_r1(g, chosen=1)
     with pytest.raises(PreconditionError, match="cancel cycles"):
         round_color_r0(g)
+
+
+def b_factors_oracle(g, advantaged):
+    """Every b-factor of g with b(t) = alpha_t + [t advantaged], by brute
+    force over one sharer per split bead, as bead -> thief."""
+    sharers = [[t for t, k in g.edges if k == bead] for bead in g.split_beads]
+    want = [g.alpha.get(t, 0) + (t in advantaged) for t in range(1, g.q + 1)]
+    return [
+        dict(zip(g.split_beads, owners))
+        for owners in itertools.product(*sharers)
+        if [owners.count(t) for t in range(1, g.q + 1)] == want
+    ]
+
+
+def test_round_color_returns_the_only_b_factor_on_sweep():
+    # a forest has one b-factor per advantaged set, so every admissible
+    # chosen or disadvantaged thief pins the rounding down completely
+    cases = 0
+    for g in sweep_sharing_graphs(cancelled_only=True):
+        if len(g.edges) > 10:
+            continue
+        thieves = range(1, g.q + 1)
+        roundings = []
+        if g.r == 0:
+            roundings.append(((), functools.partial(round_color_r0, g)))
+        if g.r == 1:
+            roundings += [((t,), functools.partial(round_color_r1, g, t)) for t in thieves]
+        if g.r == g.q - 1:
+            roundings += [
+                (set(thieves) - {t}, functools.partial(round_color_rq1, g, t)) for t in thieves
+            ]
+        for advantaged, rounding in roundings:
+            factors = b_factors_oracle(g, advantaged)
+            assert len(factors) == 1, (g, advantaged)
+            assert rounding() == factors[0], (g, advantaged)
+            cases += 1
+    assert cases > 1000
 
 
 def test_round_r0_empty_graph():

@@ -554,4 +554,4 @@ def test_tucker_rejects_bad_labelings():
 
 def test_tucker_rejects_oversize():
     with pytest.raises(InstanceTooLargeError):
-        tucker_verify(lambda x: 1, n=T_ENUMERATION_CAP + 1, s=T_ENUMERATION_CAP + 1)
+        tucker_verify({}, n=T_ENUMERATION_CAP + 1, s=T_ENUMERATION_CAP + 1)
