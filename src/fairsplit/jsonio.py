@@ -34,6 +34,10 @@ def _as_int(value: Any, where: str) -> int:
 
 def _as_int_list(value: Any, where: str) -> list[int]:
     _need(isinstance(value, list), f"{where} must be an array")
+    # the check of a valid list builds no message; the loop runs only to
+    # name the first bad element (bool fails type(v) is int, as it should)
+    if all(type(v) is int for v in value):
+        return list(value)
     return [_as_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 

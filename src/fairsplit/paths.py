@@ -279,14 +279,36 @@ def enumerate_qstable_splits(
     before it is expanded; running out raises ``BudgetExceededError``,
     which never means no split exists.
     """
+    colors = path.colors
+    for assign in _qstable_search(colors, q, enforce_upper, budget):
+        yield _snapshot(colors, q, assign)
+
+
+def _qstable_search(
+    colors: Sequence[int], q: int, enforce_upper: bool, budget: int
+) -> Iterator[list[int]]:
+    """The search of ``enumerate_qstable_splits`` on a valid coloring.
+
+    Yields one list, the assignment vector (per vertex 0 for a discard,
+    else its class 1..q), each time it holds a q-stable split; the
+    search goes on changing it once the caller asks for the next.
+    """
     if q < 1:
         raise PreconditionError("q must be at least 1")
-    sizes = path.class_sizes
-    if any(s < q - 1 for s in sizes):
+    n = len(colors)
+    m = max(colors)
+    # one pass from the end: the first sighting of a color is its last
+    # vertex, where the search must close it.  Rows are indexed by the
+    # colors themselves, 1..m; row 0 is never read.
+    sizes = [0] * (m + 1)
+    closes = [False] * n
+    for d in range(n - 1, -1, -1):
+        c = colors[d]
+        if not sizes[c]:
+            closes[d] = True
+        sizes[c] += 1
+    if min(sizes[1:]) < q - 1:
         raise PreconditionError(f"every color needs at least q-1={q - 1} vertices")
-    n, m = path.n, path.m
-    colors = [c - 1 for c in path.colors]
-    closes = {cls[-1] - 1 for cls in path.classes}
     # per value (0 = discard, then the classes): the distance it needs
     # from its previous vertex, its size cap and, per color, the bounds
     # on its count.  Discards need no distance or size cap and number
@@ -296,8 +318,9 @@ def enumerate_qstable_splits(
     cap = [n] + [-(-(n - (q - 1) * m) // q)] * q
     low = [[q - 1] + [(s + 1) // q - 1] * q for s in sizes]
     high = [[q - 1] + [s // q if enforce_upper else s] * q for s in sizes]
+    values = range(q + 1)
 
-    counts = [[0] * (q + 1) for _ in range(m)]  # counts[j][a]: color j given value a
+    counts = [[0] * (q + 1) for _ in sizes]  # counts[c][a]: color c given value a
     taken = [0] * (q + 1)
     last_pos = [-q] * (q + 1)  # the latest vertex (0-based) given each value
     assign = [0] * n
@@ -315,7 +338,7 @@ def enumerate_qstable_splits(
                 )
             if d == n:
                 if max(taken[1:]) - min(taken[1:]) <= 1:
-                    yield _snapshot(path, q, assign)
+                    yield assign
                 k = q + 1
         if k > q:
             if d == 0:
@@ -327,12 +350,18 @@ def enumerate_qstable_splits(
             last_pos[a] = saved[d]
             continue
         tried[d] = k + 1
-        j = colors[d]
-        row = counts[j]
-        if d - last_pos[k] < gap[k] or taken[k] >= cap[k] or row[k] >= high[j][k]:
+        c = colors[d]
+        row = counts[c]
+        if d - last_pos[k] < gap[k] or taken[k] >= cap[k] or row[k] >= high[c][k]:
             continue
-        if d in closes and any(row[a] + (a == k) < low[j][a] for a in range(q + 1)):
-            continue
+        if closes[d]:
+            short = False
+            for a in values:
+                if row[a] + (a == k) < low[c][a]:
+                    short = True
+                    break
+            if short:
+                continue
         row[k] += 1
         taken[k] += 1
         saved[d] = last_pos[k]
@@ -342,18 +371,23 @@ def enumerate_qstable_splits(
         tried[d] = 0
 
 
-def _snapshot(path: ColoredPath, q: int, assign: Sequence[int]) -> StableSplit:
-    classes = [set() for _ in range(q)]
-    removed = {j: set() for j in range(1, path.m + 1)}
-    for v, a in enumerate(assign, start=1):
-        if a == 0:
-            removed[path.colors[v - 1]].add(v)
+def _snapshot(colors: Sequence[int], q: int, assign: Sequence[int]) -> StableSplit:
+    classes: list[list[int]] = [[] for _ in range(q)]
+    removed: dict[int, list[int]] = {j: [] for j in range(1, max(colors) + 1)}
+    for v, (c, a) in enumerate(zip(colors, assign), start=1):
+        if a:
+            classes[a - 1].append(v)
         else:
-            classes[a - 1].add(v)
-    return StableSplit(
-        q=q,
-        removed={j: frozenset(vs) for j, vs in removed.items()},
-        classes=tuple(frozenset(c) for c in classes),
+            removed[c].append(v)
+    return StableSplit(q=q, removed=removed, classes=tuple(classes))
+
+
+def _warn_no_split(q: int, colors: Sequence[int]) -> None:
+    logger.warning(
+        "no q-stable split for q=%d, colors=%s -- this is a conjecture "
+        "counterexample candidate",
+        q,
+        list(colors),
     )
 
 
@@ -368,18 +402,30 @@ def solve_qstable_bruteforce(
     finished search returns None, which at any feasible size would
     falsify the splitting conjecture, so it is logged loudly first.
     """
-    found = next(
-        enumerate_qstable_splits(path, q, enforce_upper=enforce_upper, budget=budget),
-        None,
-    )
-    if found is None:
-        logger.warning(
-            "no q-stable split for q=%d, colors=%s -- this is a conjecture "
-            "counterexample candidate",
-            q,
-            list(path.colors),
-        )
-    return found
+    for assign in _qstable_search(path.colors, q, enforce_upper, budget):
+        return _snapshot(path.colors, q, assign)
+    _warn_no_split(q, path.colors)
+    return None
+
+
+def qstable_split_exists(
+    colors: Sequence[int], q: int, *, budget: int = NODE_BUDGET
+) -> bool:
+    """Whether ``solve_qstable_bruteforce`` would find a split, without the objects.
+
+    Runs the same search, without the upper bound, up to its first split
+    and builds neither a ``ColoredPath`` nor a ``StableSplit``.  Its
+    precondition is a valid path coloring: a nonempty sequence of the
+    colors 1..m, every one of them used, as restricted growth strings
+    are by construction; nothing checks it.  Fewer than q-1 vertices of
+    some color raise ``PreconditionError``, and ``budget`` bounds the
+    search nodes as in ``solve_qstable_bruteforce``.  False, logged as
+    there, comes only from a finished search.
+    """
+    for _ in _qstable_search(colors, q, False, budget):
+        return True
+    _warn_no_split(q, colors)
+    return False
 
 
 def verify_qstable_split(

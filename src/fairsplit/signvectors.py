@@ -187,9 +187,12 @@ def compute_t(classes: Partition) -> int:
     """max alt(x) over all x with J(x) empty: the t of ``lambda_table``.
 
     The zero vector always qualifies, so the maximum exists.  Capped at
-    n <= T_ENUMERATION_CAP.
+    n <= T_ENUMERATION_CAP.  Reads t off ``_saturation`` without
+    building the label table.
     """
-    return lambda_table(classes)[1]
+    n = check_partition(classes)
+    _check_cap("compute_t", n)
+    return _t_of(_saturation(classes, n)[0], n)
 
 
 def lambda_map(x: SignVector, classes: Partition, t: int) -> int:
@@ -350,6 +353,11 @@ def _saturation(classes: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (key >> 1).astype(np.int32), (key > 0).view(np.int8) - 2 * (key & 1)
 
 
+def _t_of(jprime: np.ndarray, n: int) -> int:
+    """t = max alt(x) over the codes with J(x) empty, where j' is 0."""
+    return int(_alt_table(n)[jprime == 0].max())
+
+
 def _check_cap(name: str, n: int) -> None:
     if n > T_ENUMERATION_CAP:
         raise InstanceTooLargeError(
@@ -369,10 +377,9 @@ def lambda_table(classes: Partition) -> tuple[np.ndarray, int]:
     n = check_partition(classes)
     _check_cap("lambda_table", n)
     jprime, sign = _saturation(classes, n)
-    has_j = jprime > 0
-    t = int(_alt_table(n)[~has_j].max())
+    t = _t_of(jprime, n)
     labels = _signed_alt_table(n).copy()
-    np.copyto(labels, sign * (t + jprime), where=has_j)
+    np.copyto(labels, sign * (t + jprime), where=jprime > 0)
     labels[0] = 0
     return labels, t
 

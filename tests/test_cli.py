@@ -9,12 +9,13 @@ import importlib
 import importlib.util
 import io
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
-from fairsplit.cli import build_parser, main
+from fairsplit.cli import _random_coloring, build_parser, main
 from fairsplit.jsonio import (
     cycle_split_from_json,
     pair_split_from_json,
@@ -24,6 +25,7 @@ from fairsplit.necklace import DiscreteSplitting, Necklace, verify_discrete
 from fairsplit.paths import (
     ColoredPath,
     iter_colorings,
+    qstable_split_exists,
     solve_qstable_bruteforce,
     verify_cycle_split,
     verify_pair_split,
@@ -329,6 +331,23 @@ def test_conjecture_scan_random(capsys):
     assert out["counterexamples"] == []
 
 
+def test_random_coloring_matches_randint_draws():
+    # randrange(k) + 1 draws from the same stream as randint(1, k), so
+    # each --seed keeps the colorings it scanned before
+    def reference(rng, max_n, max_m):
+        n = rng.randint(1, max_n)
+        raw = [rng.randint(1, max_m) for _ in range(n)]
+        relabel = {}
+        return tuple(relabel.setdefault(c, len(relabel) + 1) for c in raw)
+
+    for seed in range(50):
+        for max_n, max_m in ((12, 3), (12, 2), (6, 1), (30, 7)):
+            got, want = random.Random(seed), random.Random(seed)
+            assert [_random_coloring(got, max_n, max_m) for _ in range(20)] == [
+                reference(want, max_n, max_m) for _ in range(20)
+            ], (seed, max_n, max_m)
+
+
 def test_conjecture_scan_budget_exit_5(capsys):
     code, _, err = run(
         capsys,
@@ -396,18 +415,18 @@ def test_conjecture_scan_lists_every_relabeling_of_a_counterexample(capsys, monk
     # each, and sixty n=6 classes of sizes {1, 2, 3}, 3! colorings each
     calls = []
 
-    def stub(path, q, **kwargs):
-        calls.append(path.colors)
-        if tuple(sorted(path.class_sizes)) in {(2, 3), (1, 2, 3)}:
-            return None
-        return solve_qstable_bruteforce(path, q, **kwargs)
+    def stub(colors, q, **kwargs):
+        calls.append(colors)
+        if tuple(sorted(map(colors.count, set(colors)))) in {(2, 3), (1, 2, 3)}:
+            return False
+        return qstable_split_exists(colors, q, **kwargs)
 
-    monkeypatch.setattr("fairsplit.cli.solve_qstable_bruteforce", stub)
+    monkeypatch.setattr("fairsplit.cli.qstable_split_exists", stub)
     code, out, err = run(capsys, "conjecture-scan", "--q", "2", "--max-n", "6", "--max-m", "3")
     assert code == 0
     scanned_classes = len(calls)
     calls.clear()
-    answer, progress = scan_oracle(2, 6, 3, stub)
+    answer, progress = scan_oracle(2, 6, 3, lambda path, q: stub(path.colors, q) or None)
     assert out == answer
     assert scan_progress(err) == progress
     assert len(out["counterexamples"]) == 10 * 2 + 60 * 6

@@ -97,6 +97,16 @@ def test_instance_schema_rejections():
             load_instance(case)
 
 
+def test_int_list_rejection_names_the_first_bad_element():
+    colors = [1, 2, 3] * 100
+    for bad in (True, 2.0, "3", None):
+        with pytest.raises(SchemaError, match=r"^colors\[299\] must be an integer$"):
+            load_instance({"kind": "path", "colors": colors[:299] + [bad]})
+    with pytest.raises(SchemaError, match=r"^advantages\[1\]\[1\] must be an integer$"):
+        load_instance({"kind": "necklace", "colors": [1], "advantages": {"1": [1, False]}})
+    assert load_instance({"kind": "path", "colors": colors}).colors == tuple(colors)
+
+
 def test_loads_instance_rejects_bad_json():
     with pytest.raises(SchemaError):
         loads_instance("{not json")

@@ -227,13 +227,17 @@ def test_random_small_graphs_match_subset_oracle():
 def test_sparse_solver_matches_dense_oracle():
     # degrees of a random edge subset are feasible; shifting one unit
     # within a side keeps the totals balanced, so the flow search runs
-    # and often ends in a witness; some prescriptions are left unbalanced
+    # and often ends in a witness; some prescriptions are left unbalanced.
+    # Each side also gets an isolated vertex, which the shift may give a
+    # demand; without one it has no slot in the sparse network.
     rng = random.Random(2024)
     seen = {True: 0, False: 0}
     for _ in range(400):
         left = tuple(rng.sample(range(1, 10), rng.randint(1, 6)))
         right = tuple(f"k{i}" for i in rng.sample(range(1, 10), rng.randint(1, 6)))
         edges = [(l, r) for l in left for r in right if rng.random() < 0.5]
+        i, k = rng.randint(0, len(left)), rng.randint(0, len(right))
+        left, right = left[:i] + (0,) + left[i:], right[:k] + ("k0",) + right[k:]
         g = BipartiteGraph(left=left, right=right, edges=edges)
         chosen = [e for e in edges if rng.random() < 0.5]
         bl = {v: sum(l == v for l, _ in chosen) for v in left}

@@ -14,6 +14,8 @@ import pytest
 
 from fairsplit.errors import BudgetExceededError, PreconditionError
 from fairsplit.paths import (
+    _qstable_search,
+    _snapshot,
     ColoredPath,
     PairSplit,
     StableSplit,
@@ -23,6 +25,7 @@ from fairsplit.paths import (
     iter_canonical_colorings,
     iter_colorings,
     pair_split_as_stable,
+    qstable_split_exists,
     solve_cycle_split,
     solve_pair_split,
     solve_qstable_bruteforce,
@@ -400,6 +403,52 @@ def test_budget_guard_rejects_huge_enumeration():
     path = ColoredPath((1,) * 14)
     with pytest.raises(BudgetExceededError):
         next(enumerate_qstable_splits(path, 3, budget=10))
+
+
+def verdict(decide, *args, **kwargs):
+    """What a q-stable decision ends in: its answer or the error it raised."""
+    try:
+        return decide(*args, **kwargs)
+    except (BudgetExceededError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_split_exists_matches_bruteforce_on_canonical_colorings(q):
+    for n in range(1, 10):
+        for colors in iter_canonical_colorings(n, 3):
+            found = verdict(lambda: solve_qstable_bruteforce(ColoredPath(colors), q) is not None)
+            assert verdict(qstable_split_exists, colors, q) == found, colors
+
+
+def random_first_occurrence_path(rng, n, m):
+    return first_occurrence(rng.randint(1, m) for _ in range(n))
+
+
+def test_split_exists_stops_where_bruteforce_stops():
+    # seeded paths of about 100 vertices; the default budget of 10^6
+    # nodes costs over a second per stop, so only paths 1 and 21 try it
+    rng = random.Random(12)
+    outcomes = set()
+    for i in range(40):
+        q = (3, 5)[i % 2]
+        colors = random_first_occurrence_path(rng, rng.randint(95, 105), rng.randint(1, 3))
+        path = ColoredPath(colors)
+        budgets = [{"budget": b} for b in (10, 100, 10**4)] + [{}] * (i % 20 == 1)
+        for budget in budgets:
+            found = verdict(lambda: solve_qstable_bruteforce(path, q, **budget) is not None)
+            assert verdict(qstable_split_exists, colors, q, **budget) == found, (colors, q, budget)
+            outcomes.add(found if isinstance(found, bool) else found[0])
+    assert outcomes == {True, BudgetExceededError}
+
+
+def test_first_search_assignment_is_a_verified_split():
+    for colors, q in [((1,) * 7, 3), ((1, 2) * 6, 3), ((1, 1, 2, 1, 2, 2, 1, 2) * 2, 5)]:
+        path = ColoredPath(colors)
+        assign = next(_qstable_search(colors, q, False, 10**6))
+        split = _snapshot(colors, q, assign)
+        assert verify_qstable_split(path, q, split) == [], colors
+        assert split == solve_qstable_bruteforce(path, q)
 
 
 def stirling2(n, m):
