@@ -14,7 +14,6 @@ which certifies nonexistence; ``witness_slack`` evaluates that margin.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
@@ -114,8 +113,8 @@ def find_b_factor(
 
     Runs breadth-first augmenting paths on the unit-capacity network,
     kept as a sparse residual graph: a vertex without demand or edges
-    gets no slot in it.  Degrees missing from the prescriptions default
-    to zero.
+    costs nothing.  Degrees missing from the prescriptions default to
+    zero.
     """
     bl = {v: int(b_left.get(v, 0)) for v in graph.left}
     br = {v: int(b_right.get(v, 0)) for v in graph.right}
@@ -136,14 +135,9 @@ def find_b_factor(
             witness_right=frozenset(v for v, d in br.items() if d > 0),
         )
 
-    # a vertex with neither demand nor edges gets no slot: no arc reaches
-    # it, so it would only ever be unreachable
-    ends_l = {l for l, _ in graph.edges}
-    ends_r = {r for _, r in graph.edges}
-    slot = itertools.count(1)
-    li = {v: next(slot) for v in graph.left if bl[v] or v in ends_l}
-    ri = {v: next(slot) for v in graph.right if br[v] or v in ends_r}
-    sink = len(li) + len(ri) + 1
+    li = {v: i + 1 for i, v in enumerate(graph.left)}
+    ri = {v: len(graph.left) + 1 + i for i, v in enumerate(graph.right)}
+    sink = len(graph.left) + len(graph.right) + 1
     size = sink + 1
     # the arcs of positive capacity in row-major order (source arcs, edge
     # arcs, sink arcs); each adj list holds its vertex's arcs and reverse
@@ -203,6 +197,6 @@ def find_b_factor(
                 queue.append(w)
     return BFactorResult(
         factor=None,
-        witness_left=frozenset(v for v, i in li.items() if reach[i]),
-        witness_right=frozenset(v for v in graph.right if v not in ri or not reach[ri[v]]),
+        witness_left=frozenset(v for v in graph.left if reach[li[v]]),
+        witness_right=frozenset(v for v in graph.right if not reach[ri[v]]),
     )

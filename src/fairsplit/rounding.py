@@ -373,9 +373,12 @@ def _round_forest(
         )
     check()
     thieves = tuple(range(1, g.q + 1))
+    b_left = {t: g.alpha.get(t, 0) + (t in advantaged) for t in thieves}
+    if not g.edges and not g.split_beads and not any(b_left.values()):
+        return {}  # no demand anywhere: the empty edge set is the factor
     result = find_b_factor(
         BipartiteGraph(left=thieves, right=g.split_beads, edges=g.edges.keys()),
-        b_left={t: g.alpha.get(t, 0) + (t in advantaged) for t in thieves},
+        b_left=b_left,
         b_right=dict.fromkeys(g.split_beads, 1),
     )
     if result.factor is None:

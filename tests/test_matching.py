@@ -229,7 +229,7 @@ def test_sparse_solver_matches_dense_oracle():
     # within a side keeps the totals balanced, so the flow search runs
     # and often ends in a witness; some prescriptions are left unbalanced.
     # Each side also gets an isolated vertex, which the shift may give a
-    # demand; without one it has no slot in the sparse network.
+    # demand; an isolated right vertex is never reachable.
     rng = random.Random(2024)
     seen = {True: 0, False: 0}
     for _ in range(400):

@@ -7,12 +7,13 @@ q-stable enumerator is compared item by item against a filter over all
 (q+1)^n assignments.
 """
 
+import inspect
 import itertools
 import random
 
 import pytest
 
-from fairsplit.errors import BudgetExceededError, PreconditionError
+from fairsplit.errors import NODE_BUDGET, BudgetExceededError, PreconditionError
 from fairsplit.paths import (
     _qstable_search,
     _snapshot,
@@ -426,20 +427,21 @@ def random_first_occurrence_path(rng, n, m):
 
 
 def test_split_exists_stops_where_bruteforce_stops():
-    # seeded paths of about 100 vertices; the default budget of 10^6
-    # nodes costs over a second per stop, so only paths 1 and 21 try it
+    # seeded paths of about 100 vertices; both wrap one search, so the
+    # default budget is checked by signature rather than by a 10^6-node run
     rng = random.Random(12)
     outcomes = set()
     for i in range(40):
         q = (3, 5)[i % 2]
         colors = random_first_occurrence_path(rng, rng.randint(95, 105), rng.randint(1, 3))
         path = ColoredPath(colors)
-        budgets = [{"budget": b} for b in (10, 100, 10**4)] + [{}] * (i % 20 == 1)
-        for budget in budgets:
-            found = verdict(lambda: solve_qstable_bruteforce(path, q, **budget) is not None)
-            assert verdict(qstable_split_exists, colors, q, **budget) == found, (colors, q, budget)
+        for budget in (10, 100, 10**4):
+            found = verdict(lambda: solve_qstable_bruteforce(path, q, budget=budget) is not None)
+            assert verdict(qstable_split_exists, colors, q, budget=budget) == found, (colors, q, budget)
             outcomes.add(found if isinstance(found, bool) else found[0])
     assert outcomes == {True, BudgetExceededError}
+    for solver in (qstable_split_exists, solve_qstable_bruteforce):
+        assert inspect.signature(solver).parameters["budget"].default == NODE_BUDGET
 
 
 def test_first_search_assignment_is_a_verified_split():
