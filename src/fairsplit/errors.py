@@ -10,7 +10,7 @@ NODE_BUDGET = 10**6
 
 
 class SchemaError(ValueError):
-    """Malformed instance data (bad JSON shape, bad colors, bad advantage sets)."""
+    """Malformed input (bad JSON shape, colors, advantage sets or split shape)."""
 
     exit_code = 2
 

@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 from .errors import SchemaError
 from .necklace import ContinuousSplitting, DiscreteSplitting, Necklace
-from .paths import ColoredPath, CycleSplit, PairSplit, StableSplit
+from .paths import ColoredPath, CycleSplit, PairSplit, StableSplit, check_coloring
 
 KINDS = ("path", "cycle", "necklace")
 
@@ -73,11 +73,7 @@ def load_instance(obj: Any) -> Instance:
     _need(kind in KINDS, f"kind must be one of {list(KINDS)}")
 
     colors = _as_int_list(top.get("colors"), "colors")
-    _need(len(colors) > 0, "colors must be nonempty")
-    _need(
-        set(colors) == set(range(1, max(colors) + 1)),
-        "color indices must be contiguous from 1",
-    )
+    check_coloring(colors)
 
     q = None
     if "q" in top:
@@ -87,15 +83,10 @@ def load_instance(obj: Any) -> Instance:
     advantages = None
     if "advantages" in top:
         _need(kind == "necklace", "advantages apply only to necklace instances")
-        raw = _as_mapping(top["advantages"], "advantages")
-        advantages = {}
-        for key, val in raw.items():
-            try:
-                j = int(key)
-            except (TypeError, ValueError):
-                raise SchemaError(f"advantages key {key!r} is not a color index") from None
-            _need(j not in advantages, f"duplicate advantages key for color {j}")
-            advantages[j] = tuple(_as_int_list(val, f"advantages[{key}]"))
+        advantages = {
+            j: tuple(_as_int_list(val, f"advantages[{j}]"))
+            for j, val in _color_map_from_json(top["advantages"], "advantages").items()
+        }
 
     return Instance(kind=kind, colors=tuple(colors), q=q, advantages=advantages)
 
@@ -138,6 +129,7 @@ def _color_map_from_json(obj: Any, where: str) -> dict[int, Any]:
             j = int(key)
         except (TypeError, ValueError):
             raise SchemaError(f"{where} key {key!r} is not a color index") from None
+        _need(j not in out, f"duplicate {where} key for color {j}")
         out[j] = val
     return out
 
@@ -183,7 +175,6 @@ def stable_split_from_json(obj: Any) -> StableSplit:
     classes = tuple(
         frozenset(_as_int_list(c, f"classes[{i}]")) for i, c in enumerate(raw_classes)
     )
-    _need(len(classes) == q, "need exactly q classes")
     return StableSplit(q=q, removed=removed, classes=classes)
 
 
@@ -226,9 +217,7 @@ def continuous_splitting_from_json(obj: Any) -> ContinuousSplitting:
     top = _as_mapping(obj, "continuous splitting")
     raw_cuts = top.get("cuts")
     _need(isinstance(raw_cuts, list), "cuts must be an array")
-    owners = _as_int_list(top.get("owners"), "owners")
-    _need(len(owners) == len(raw_cuts) + 1, "need exactly one owner per segment")
     return ContinuousSplitting(
         cuts=tuple(fraction_from_json(c) for c in raw_cuts),
-        owners=tuple(owners),
+        owners=tuple(_as_int_list(top.get("owners"), "owners")),
     )

@@ -35,6 +35,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NODE_BUDGET, BudgetExceededError, InternalInvariantError, SchemaError
+from .paths import check_coloring
 
 # not called here; kept because perfbench/tracing.py patches this name
 from .linsolve import find_rational_point  # noqa: F401
@@ -49,14 +50,9 @@ class Necklace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beads", tuple(self.beads))
-        if not self.beads:
-            raise ValueError("a necklace needs at least one bead")
-        used = set(self.beads)
-        m = max(used)
-        if used != set(range(1, m + 1)):
-            raise ValueError("colors must be contiguous 1..m with every color used")
+        check_coloring(self.beads)
         if self.q < 2:
-            raise ValueError("need at least two thieves")
+            raise SchemaError("need at least two thieves")
 
     @property
     def n(self) -> int:
@@ -172,6 +168,13 @@ def verify_discrete(
     return violations
 
 
+def _out_of_budget(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"necklace search passed {budget} candidates (search nodes) without "
+        "finishing; this bounds effort, it does not mean no splitting exists"
+    )
+
+
 def _first_owner(
     beads: Sequence[int],
     target: Sequence[Sequence[int]],
@@ -225,11 +228,7 @@ def _first_owner(
             if k == 0:
                 nodes += 1
                 if nodes > budget:
-                    raise BudgetExceededError(
-                        f"necklace search passed {budget} candidates (search "
-                        "nodes) without finishing; this bounds effort, it does "
-                        "not mean no splitting exists"
-                    )
+                    raise _out_of_budget(budget)
             if k == q:
                 if d == 0:
                     break
@@ -307,7 +306,7 @@ class ContinuousSplitting:
         object.__setattr__(self, "cuts", tuple(Fraction(c) for c in self.cuts))
         object.__setattr__(self, "owners", tuple(self.owners))
         if len(self.owners) != len(self.cuts) + 1:
-            raise ValueError("need exactly one owner per segment")
+            raise SchemaError("need exactly one owner per segment")
 
     def _pieces(self, neck: Necklace) -> tuple[int, list[tuple[int, int, int]]]:
         """(d, [(owner, bead, amount)]) for every nonempty piece, left to right.
@@ -401,6 +400,10 @@ def search_continuous(
     nonexistence.
     """
     q = neck.q
+    # each node on the way to a split is one sub-bead deeper, so with more
+    # sub-beads than budget the search cannot finish: stop before building them
+    if neck.n * q > budget:
+        raise _out_of_budget(budget)
     refined = [c for c in neck.beads for _ in range(q)]
     owner = _first_owner(refined, [neck.a] * q, q - 1, (q - 1) * neck.m, budget)
     if owner is None:

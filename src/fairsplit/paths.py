@@ -26,16 +26,35 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import NODE_BUDGET, BudgetExceededError, InternalInvariantError, PreconditionError
+from .errors import SchemaError
 
 logger = logging.getLogger(__name__)
 
 PAIR_BUDGET = 10**7
+
+
+def check_coloring(colors: Sequence[int]) -> None:
+    """Raise SchemaError unless colors are 1..m, for some m >= 1, with every one used.
+
+    Linear in len(colors) whatever the values: the range compared against
+    has one entry per distinct color.
+    """
+    used = set(colors)
+    try:
+        # no colors, or a maximum that range() cannot read through
+        # __index__ (1.0, "a"), fails here
+        ok = operator.index(max(used) + 1) == len(used) + 1
+    except (TypeError, ValueError):
+        ok = False
+    if not ok or used != set(range(1, len(used) + 1)):
+        raise SchemaError("colors must be 1..m, for some m >= 1, with every color used")
 
 
 @dataclass(frozen=True)
@@ -49,12 +68,7 @@ class ColoredPath:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "colors", tuple(self.colors))
-        if not self.colors:
-            raise ValueError("a path needs at least one vertex")
-        used = set(self.colors)
-        m = max(used)
-        if used != set(range(1, m + 1)):
-            raise ValueError("colors must be contiguous 1..m with every color used")
+        check_coloring(self.colors)
 
     @property
     def n(self) -> int:
@@ -105,7 +119,7 @@ class StableSplit:
         )
         object.__setattr__(self, "classes", tuple(frozenset(c) for c in self.classes))
         if len(self.classes) != self.q:
-            raise ValueError("need exactly q classes")
+            raise SchemaError("need exactly q classes")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Container, Mapping
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import NODE_BUDGET, InternalInvariantError, PreconditionError
 from .matching import BipartiteGraph, find_b_factor
 from .necklace import (
     AdvantageSpec,
@@ -435,7 +435,7 @@ def split_with_advantages(
     advantages: AdvantageSpec | None,
     *,
     continuous: ContinuousSplitting | None = None,
-    budget: int | None = None,
+    budget: int = NODE_BUDGET,
 ) -> DiscreteSplitting:
     """Fair whole-bead splitting realizing the given advantage assignment.
 
@@ -456,11 +456,7 @@ def split_with_advantages(
             f"remainders outside {{0, 1, q-1}}: {offending}"
         )
     if continuous is None:
-        continuous = (
-            search_continuous(neck)
-            if budget is None
-            else search_continuous(neck, budget=budget)
-        )
+        continuous = search_continuous(neck, budget=budget)
     elif verify_continuous(neck, continuous):
         raise PreconditionError("the supplied continuous splitting is not fair")
     cont = cancel_cycles(continuous, neck)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -405,24 +405,6 @@ class TuckerReport:
     lemma_contradiction: bool
 
 
-Labeling = Union[Mapping[SignVector, int], np.ndarray]
-
-
-def _labeling_to_array(labeling: Labeling, n: int) -> np.ndarray:
-    if isinstance(labeling, np.ndarray):
-        if labeling.shape != (3**n,):
-            raise ValueError(f"label array must have shape (3^{n},)")
-        return labeling.astype(np.int64)
-    out = np.zeros(3**n, dtype=np.int64)
-    for code in range(1, 3**n):
-        x = vector_from_code(code, n)
-        try:
-            out[code] = int(labeling[x])
-        except KeyError:
-            raise ValueError(f"partial labeling: no label for {x}") from None
-    return out
-
-
 def _zeta_up(table: np.ndarray, n: int, ufunc: np.ufunc) -> np.ndarray:
     """Fold every entry into the entries of the vectors above it, in place.
 
@@ -474,11 +456,13 @@ def _face_codes(code: int, n: int) -> np.ndarray:
     return faces
 
 
-def tucker_verify(labeling: Labeling, n: int, s: int) -> TuckerReport:
+def tucker_verify(labels: np.ndarray, n: int, s: int) -> TuckerReport:
     """Exhaustively check a labeling of the nonzero vectors of {+,-,0}^n.
 
-    Verifies (a) antipodality, label(-x) = -label(x), and (b) absence
-    of complementary comparable pairs: no x preceding y with labels
+    labels[code] labels ``vector_from_code(code, n)``, in an array of
+    shape (3^n,) such as ``lambda_table`` returns.  Verifies (a)
+    antipodality, label(-x) = -label(x), and (b) absence of
+    complementary comparable pairs: no x preceding y with labels
     summing to zero.  Labels must be nonzero integers of magnitude at
     most s.  A labeling accepted with s < n contradicts the octahedral
     Tucker lemma and is flagged as such.
@@ -493,7 +477,10 @@ def tucker_verify(labeling: Labeling, n: int, s: int) -> TuckerReport:
     if n < 1:
         raise ValueError("n must be positive")
     _check_cap("tucker_verify", n)
-    labels = _labeling_to_array(labeling, n)
+    labels = np.asarray(labels)
+    if labels.shape != (3**n,):
+        raise ValueError(f"label array must have shape (3^{n},)")
+    labels = labels.astype(np.int64)
     labels[0] = 0
     body = labels[1:]
     if (body == 0).any():

@@ -1,10 +1,18 @@
-"""Shared enumeration helpers for the sweep tests."""
+"""Shared enumeration helpers for the sweep tests, and a capped CLI runner."""
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import ceil, floor
+from pathlib import Path
 from typing import Iterator
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def restricted_growth_strings(n: int, max_labels: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -60,3 +68,27 @@ def fraction_allocation_oracle(cont, neck) -> dict[tuple[int, int], Fraction]:
                 key = (owner, k)
                 alloc[key] = alloc.get(key, Fraction(0)) + amt
     return alloc
+
+
+def run_cli_capped(
+    argv: list[str], stdin: str = "", *, memory_mb: int = 512, timeout: float = 30.0
+) -> tuple[int, str, str, float]:
+    """Run ``python -m fairsplit.cli`` with argv in a capped subprocess.
+
+    The child's address space is limited to memory_mb (RLIMIT_AS), and
+    OpenBLAS runs one thread, whose buffers then fit under that cap.
+    Returns (exit code, stdout, stderr, seconds elapsed).
+    """
+    limit = memory_mb * 2**20
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "fairsplit.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env,
+        timeout=timeout, preexec_fn=cap,
+    )
+    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start

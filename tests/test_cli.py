@@ -31,6 +31,7 @@ from fairsplit.paths import (
     verify_pair_split,
     verify_qstable_split,
 )
+from helpers import run_cli_capped
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -150,6 +151,38 @@ def test_split_necklace_huge_q_exits_4_quickly(capsys, tmp_path):
     code, _, err = run(capsys, "split-necklace", "--input", str(target), "--q", str(10**9))
     assert time.perf_counter() - start < 0.5
     assert code == 4 and "color 1 has r=2" in err
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("split-path", "path"),
+    ("split-cycle", "cycle"),
+    ("split-stable", "path"),
+    ("split-necklace", "necklace"),
+    ("tucker-check", "path"),
+])
+def test_huge_color_index_exits_2_quickly(command, kind):
+    # the coloring rule must not build a set up to the largest color
+    inst = json.dumps({"kind": kind, "colors": [1, 10**11], "q": 3})
+    code, _, err, elapsed = run_cli_capped([command, "--input", "-"], inst)
+    assert code == 2 and "Traceback" not in err, err
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("colors", [[0], [-1], [2], [1, 3]])
+def test_invalid_coloring_exits_2(colors):
+    inst = json.dumps({"kind": "path", "colors": colors})
+    code, _, err, _ = run_cli_capped(["split-path", "--input", "-"], inst)
+    assert code == 2 and "Traceback" not in err, err
+
+
+def test_split_necklace_more_sub_beads_than_budget_exits_5_quickly():
+    # n*q = 10^9 sub-beads: the search stops before it builds them
+    inst = json.dumps({
+        "kind": "necklace", "colors": [1], "q": 10**9, "advantages": {"1": [1]},
+    })
+    code, _, err, elapsed = run_cli_capped(["split-necklace", "--input", "-"], inst)
+    assert code == 5 and "candidates" in err and "Traceback" not in err, err
+    assert elapsed < 2.0
 
 
 def test_split_necklace_budget_exit_5(capsys):

@@ -148,6 +148,15 @@ def test_pair_split_round_trip():
         pair_split_from_json({"removed": {"one": 1}, "s1": [], "s2": []})
 
 
+def test_removed_maps_reject_duplicate_color_keys():
+    with pytest.raises(SchemaError, match="^duplicate removed key for color 1$"):
+        pair_split_from_json({"removed": {"1": 1, "01": 2}, "s1": [], "s2": []})
+    with pytest.raises(SchemaError, match="^duplicate removed key for color 1$"):
+        stable_split_from_json(
+            {"q": 2, "removed": {"1": [1], "01": [2]}, "classes": [[], []]}
+        )
+
+
 def test_stable_split_round_trip():
     split = StableSplit(
         q=3,

@@ -11,15 +11,17 @@ import inspect
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from fairsplit.errors import NODE_BUDGET, BudgetExceededError, PreconditionError
+from fairsplit.errors import NODE_BUDGET, BudgetExceededError, PreconditionError, SchemaError
 from fairsplit.paths import (
     _qstable_search,
     _snapshot,
     ColoredPath,
     PairSplit,
     StableSplit,
+    check_coloring,
     compose_splits,
     enumerate_qstable_splits,
     floor_ceil_identities,
@@ -120,6 +122,27 @@ def qstable_assignments_oracle(colors, q, enforce_upper=False):
         if ok and max(sizes) - min(sizes) <= 1:
             found.append(assign)
     return found
+
+
+# === colorings ===
+
+def test_check_coloring_accepts_what_the_set_range_rule_accepts():
+    # the rule it replaces built the whole range up to the largest color
+    def set_range_rule(colors):
+        return set(colors) == set(range(1, max(colors) + 1))
+
+    values = (-1, 0, 1, 2, 3, True, 1.0, 1.5, "a", np.int64(2))
+    for k in range(5):
+        for colors in itertools.product(values, repeat=k):
+            try:
+                accepted = set_range_rule(colors)
+            except (TypeError, ValueError):
+                accepted = False
+            if accepted:
+                check_coloring(colors)
+            else:
+                with pytest.raises(SchemaError):
+                    check_coloring(colors)
 
 
 # === pair split ===

@@ -488,11 +488,10 @@ def test_tucker_first_sign_labeling_count_and_witness(n):
 
 
 def test_tucker_single_coordinate_ok():
-    labeling = {
-        SignVector.from_string("+"): 1,
-        SignVector.from_string("-"): -1,
-    }
-    rep = tucker_verify(labeling, n=1, s=1)
+    labels = np.zeros(3, dtype=np.int64)
+    labels[vector_code(SignVector.from_string("+"))] = 1
+    labels[vector_code(SignVector.from_string("-"))] = -1
+    rep = tucker_verify(labels, n=1, s=1)
     assert rep.ok and rep.antipodal
     assert rep.complementary_pairs == 0
     assert not rep.lemma_contradiction
@@ -501,7 +500,10 @@ def test_tucker_single_coordinate_ok():
 def test_tucker_finds_complementary_pair_in_first_sign_labeling():
     # n=2 with s=1 must fail: the lemma needs s >= n
     labeling = {x: x.first_sign() for x in all_vectors(2) if not x.is_zero}
-    rep = tucker_verify(labeling, n=2, s=1)
+    labels = np.zeros(9, dtype=np.int64)
+    for x, label in labeling.items():
+        labels[vector_code(x)] = label
+    rep = tucker_verify(labels, n=2, s=1)
     assert rep.antipodal
     assert not rep.ok
     assert rep.complementary_pairs == complementary_pairs_oracle(labeling, 2) > 0
@@ -511,8 +513,7 @@ def test_tucker_finds_complementary_pair_in_first_sign_labeling():
 
 
 def test_tucker_detects_antipodality_violation():
-    labeling = {x: 1 for x in all_vectors(1) if not x.is_zero}
-    rep = tucker_verify(labeling, n=1, s=1)
+    rep = tucker_verify(np.array([0, 1, 1]), n=1, s=1)
     assert not rep.antipodal
     assert rep.antipodal_violation is not None
     assert not rep.ok
@@ -530,26 +531,14 @@ def test_tucker_path_labeling_ok_small():
 
 
 def test_tucker_rejects_bad_labelings():
-    with pytest.raises(ValueError):
-        tucker_verify({SignVector.from_string("+"): 1}, n=1, s=1)  # partial
-    with pytest.raises(ValueError):
-        tucker_verify(
-            {
-                SignVector.from_string("+"): 0,
-                SignVector.from_string("-"): 0,
-            },
-            n=1,
-            s=1,
-        )
-    with pytest.raises(ValueError):
-        tucker_verify(
-            {
-                SignVector.from_string("+"): 5,
-                SignVector.from_string("-"): -5,
-            },
-            n=1,
-            s=1,
-        )
+    with pytest.raises(ValueError, match="shape"):
+        tucker_verify({SignVector.from_string("+"): 1}, n=1, s=1)  # not an array
+    with pytest.raises(ValueError, match="shape"):
+        tucker_verify(np.array([0, 1]), n=1, s=1)
+    with pytest.raises(ValueError, match="zero"):
+        tucker_verify(np.array([0, 0, 0]), n=1, s=1)
+    with pytest.raises(ValueError, match="exceeds"):
+        tucker_verify(np.array([0, 5, -5]), n=1, s=1)
 
 
 def test_tucker_rejects_oversize():
