@@ -1,10 +1,11 @@
 """Command-line front end with JSON input and output.
 
 Each subcommand drives one library entry point and prints its result as
-JSON on stdout; ``--json-out FILE`` writes the same document to a file.
-Instances are read from ``--input`` (``-`` for stdin).  Exit codes are
-a stable contract: 0 success, 2 malformed input, 3 internal invariant
-failure, 4 violated precondition, 5 exceeded budget.
+a JSON object on stdout, one top-level key per line; ``--json-out FILE``
+writes the same document to a file.  Instances are read from
+``--input`` (``-`` for stdin).  Exit codes are a stable contract:
+0 success, 2 malformed input or a file that cannot be read or written,
+3 internal invariant failure, 4 violated precondition, 5 exceeded budget.
 """
 
 from __future__ import annotations
@@ -304,18 +305,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = args.func(args)
+        text = _dumps_top_level(args.func(args))
+        if args.json_out:
+            Path(args.json_out).write_text(text + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, InternalInvariantError, PreconditionError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    text = json.dumps(payload, indent=2)
     print(text)
-    if args.json_out:
-        Path(args.json_out).write_text(text + "\n")
     return 0
+
+
+# json.dumps's own defaults, without its per-call argument checks
+_encode = json.JSONEncoder().encode
+
+
+def _dumps_top_level(payload: dict[str, Any]) -> str:
+    """The payload as JSON, one top-level key per line.
+
+    Each value is encoded on one line, as ``json.dumps`` would, by the C
+    encoder; ``indent`` would send the whole document through the
+    pure-Python one.
+    """
+    lines = (f"  {_encode(key)}: {_encode(value)}" for key, value in payload.items())
+    return "{\n" + ",\n".join(lines) + "\n}"
 
 
 if __name__ == "__main__":

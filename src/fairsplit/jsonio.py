@@ -96,6 +96,11 @@ def loads_instance(text: str) -> Instance:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # an integer literal past the interpreter's int-digit limit
+        raise SchemaError(f"input holds a number too long to read: {exc}") from None
+    except RecursionError:
+        raise SchemaError("input nests arrays or objects too deeply") from None
     return load_instance(obj)
 
 

@@ -14,8 +14,9 @@ of splits are computed and verified here:
   distance >= q, covering all but q-1 vertices per color, with class
   sizes differing by at most one and every class holding at least
   floor((|V_j|+1)/q) - 1 vertices of each color.  Existence for all q
-  is open; ``solve_qstable_bruteforce`` searches depth-first and
-  ``compose_splits`` lifts solvers for q' and q'' to q'q''.
+  is open; ``solve_qstable_bruteforce`` searches depth-first,
+  ``compose_splits`` lifts solvers for q' and q'' to q'q'', and
+  ``solve_qstable_power2`` composes pair splits for q a power of two.
 
 The floor/ceil division identities used by the composition are exposed
 as ``floor_ceil_identities`` (floor is toward minus infinity, matching
@@ -29,8 +30,8 @@ import logging
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NODE_BUDGET, BudgetExceededError, InternalInvariantError, PreconditionError
 from .errors import SchemaError
@@ -165,8 +166,25 @@ def solve_pair_split(path: ColoredPath, *, budget: int = PAIR_BUDGET) -> PairSpl
     naming how many candidates it examined.  A valid split always
     exists, so exhausting the search is an internal error.
     """
-    classes = path.classes
-    m = path.m
+    removal = _pair_removal(path.colors, path.m, budget)
+    removed = set(removal)
+    survivors = [v for v in range(1, path.n + 1) if v not in removed]
+    return PairSplit(
+        removed={j + 1: v for j, v in enumerate(removal)},
+        s1=frozenset(survivors[0::2]),
+        s2=frozenset(survivors[1::2]),
+    )
+
+
+def _pair_removal(colors: Sequence[int], m: int, budget: int) -> tuple[int, ...]:
+    """The search of ``solve_pair_split`` on a valid coloring with m colors.
+
+    Returns the first winning removal vector: entry j-1 is the removed
+    vertex (1-based) of color j.  Builds no path or split object.
+    """
+    classes: list[list[int]] = [[] for _ in range(m)]
+    for v, c in enumerate(colors, start=1):
+        classes[c - 1].append(v)
     # per color: its index, its class, acc[i] = E_j at the i-th vertex of
     # the class (acc[0] = 0, so acc[bisect_left(cls, p)] = E_j[p-1]), and
     # the upper end of the k = m term, (-1)^(m+1) E_j[n]
@@ -195,13 +213,7 @@ def solve_pair_split(path: ColoredPath, *, budget: int = PAIR_BUDGET) -> PairSpl
             if d > 1 or d < -1:
                 break
         else:
-            removed = set(removal)
-            survivors = [v for v in range(1, path.n + 1) if v not in removed]
-            return PairSplit(
-                removed={j + 1: removal[j] for j in range(m)},
-                s1=frozenset(survivors[0::2]),
-                s2=frozenset(survivors[1::2]),
-            )
+            return removal
     raise InternalInvariantError("no pair split found; one must always exist")
 
 
@@ -505,8 +517,7 @@ def compose_splits(
     q1*q2 - 1 vertices.
     """
     q = q1 * q2
-    if any(s < q - 1 for s in path.class_sizes):
-        raise PreconditionError(f"every color needs at least q-1={q - 1} vertices")
+    _require_q_minus_1(path.class_sizes, q)
     outer = subsolver(path, q1)
     if len(outer.classes) != q1:
         raise InternalInvariantError("subsolver returned a wrong class count")
@@ -519,20 +530,34 @@ def compose_splits(
             raise InternalInvariantError("subsolver returned a wrong class count")
         for cls in inner.classes:
             composed.append(frozenset(back[v] for v in cls))
-    covered: set[int] = set()
-    for cls in composed:
-        covered |= cls
-    removed = {
-        j: frozenset(v for v in cls if v not in covered)
-        for j, cls in enumerate(path.classes, start=1)
-    }
+    return _composed_split(path.colors, q, composed)
+
+
+def _require_q_minus_1(sizes: Iterable[int], q: int) -> None:
+    if min(sizes) < q - 1:
+        raise PreconditionError(f"every color needs at least q-1={q - 1} vertices")
+
+
+def _composed_split(
+    colors: Sequence[int], q: int, classes: Sequence[Iterable[int]]
+) -> StableSplit:
+    """The split with these classes, the uncovered vertices removed.
+
+    Raises ``InternalInvariantError`` unless exactly q-1 vertices of
+    each color are uncovered.
+    """
+    covered = set().union(*classes)
+    removed: dict[int, list[int]] = {j: [] for j in range(1, max(colors) + 1)}
+    for v, c in enumerate(colors, start=1):
+        if v not in covered:
+            removed[c].append(v)
     for j, vs in removed.items():
         if len(vs) != q - 1:
             raise InternalInvariantError(
                 f"composition left {len(vs)} vertices of color {j} uncovered, "
                 f"expected q-1={q - 1}"
             )
-    return StableSplit(q=q, removed=removed, classes=tuple(composed))
+    return StableSplit(q=q, removed=removed, classes=tuple(classes))
 
 
 def _induced_subpath(
@@ -551,21 +576,52 @@ def solve_qstable_power2(
 ) -> StableSplit:
     """Stable split for q a power of two, via repeated pair splitting.
 
-    Every pair split it runs gets ``budget`` units of its own.
+    Gives the split of ``compose_splits(path, 2, q // 2, ...)`` over
+    ``pair_split_as_stable(solve_pair_split(...))``, recursively: the
+    pair split of the path, then each of its sides, read as a subpath,
+    split at q/2, the first side's classes first.  The recursion runs
+    the pair-split search on bare vertex and color lists and builds one
+    ``StableSplit`` at the end.  Every pair split it runs gets
+    ``budget`` units of its own.
     """
     if q < 1 or q & (q - 1):
         raise PreconditionError(f"q={q} is not a power of two")
+    _require_q_minus_1(path.class_sizes, q)
+    classes: list[list[int]] = []
+    _power2_classes(list(range(1, path.n + 1)), path.colors, path.m, q, budget, classes)
+    return _composed_split(path.colors, q, classes)
+
+
+def _power2_classes(
+    vertices: list[int],
+    colors: Sequence[int],
+    m: int,
+    q: int,
+    budget: int,
+    out: list[list[int]],
+) -> None:
+    """Append the q classes ``solve_qstable_power2`` gives a subpath to out.
+
+    The subpath holds the given vertices, in path order, with colors
+    1..m, every one used.
+    """
     if q == 1:
-        return StableSplit(
-            q=1,
-            removed={j: frozenset() for j in range(1, path.m + 1)},
-            classes=(frozenset(range(1, path.n + 1)),),
-        )
-    if q == 2:
-        return pair_split_as_stable(solve_pair_split(path, budget=budget), path)
-    return compose_splits(
-        path, 2, q // 2, partial(solve_qstable_power2, budget=budget)
-    )
+        out.append(vertices)
+        return
+    removal = set(_pair_removal(colors, m, budget))
+    kept = [i for i in range(len(colors)) if i + 1 not in removal]
+    for side in (kept[0::2], kept[1::2]):
+        part = [vertices[i] for i in side]
+        if q == 2:
+            out.append(part)
+            continue
+        sub = [colors[i] for i in side]
+        # relabel the side's colors to 1..m' as ``compose_splits`` does
+        present = sorted(set(sub))
+        if len(present) != m:
+            rank = {c: r for r, c in enumerate(present, start=1)}
+            sub = [rank[c] for c in sub]
+        _power2_classes(part, sub, len(present), q // 2, budget, out)
 
 
 def floor_ceil_identities(a: int, b: int, c: int) -> tuple[bool, bool]:

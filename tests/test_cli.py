@@ -10,6 +10,7 @@ import importlib.util
 import io
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -75,6 +76,63 @@ def test_json_out_mirrors_stdout(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(target.read_text()) == out
+
+
+@pytest.mark.parametrize("target", ["no_such_dir/result.json", "."])
+def test_json_out_that_cannot_be_written_exits_2(capsys, tmp_path, target):
+    code, _, err = run(
+        capsys,
+        "split-path",
+        "--input", fixture("path_small.json"),
+        "--json-out", str(tmp_path / target),
+    )
+    assert code == 2 and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["split-path", "--input", fixture("path_small.json")],
+    ["split-cycle", "--input", fixture("cycle_small.json")],
+    ["split-necklace", "--input", fixture("necklace_q3.json")],
+    ["split-stable", "--input", fixture("stable_pow2.json")],
+    ["split-stable", "--input", fixture("path_small.json"), "--q", "3"],
+    ["tucker-check", "--input", fixture("path_small.json")],
+    ["conjecture-scan", "--q", "3", "--max-n", "4"],
+])
+def test_every_command_prints_one_top_level_key_per_line(capsys, argv):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    inner = lines[1:-1]
+    keys = []
+    for i, line in enumerate(inner):
+        assert line.startswith('  "') and line.endswith(",") == (i < len(inner) - 1)
+        entry = json.loads("{" + line.removesuffix(",") + "}")
+        assert len(entry) == 1
+        keys += entry
+    assert keys == list(json.loads("\n".join(lines)))
+
+
+def test_readme_split_necklace_example_prints_the_readme_block(capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(
+        r"\$ echo '(.*)' \\\n\s+\| fairsplit split-necklace --input -\n(.*?)\n```", readme, re.S
+    )
+    assert example
+    monkeypatch.setattr("sys.stdin", io.StringIO(example[1]))
+    assert main(["split-necklace", "--input", "-"]) == 0
+    assert capsys.readouterr().out == example[2] + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"kind": "path", "colors": [' + "9" * 5000 + "]}",
+    '{"kind": "path", "colors": [1, 1], "q": ' + "9" * 5000 + "}",
+], ids=["deep-nesting", "long-color", "long-q"])
+def test_hostile_json_exits_2(text):
+    # nesting past the recursion limit, and integer literals past the
+    # interpreter's int-digit limit, fail inside json.loads
+    code, _, err, _ = run_cli_capped(["split-path", "--input", "-"], text)
+    assert code == 2 and "error:" in err and "Traceback" not in err, err
 
 
 def test_kind_mismatch_is_schema_error(capsys):

@@ -414,6 +414,57 @@ def test_power2_solver_small():
     assert verify_qstable_split(path, 4, split, enforce_upper=True) == []
 
 
+def composition_reference(path, q, budget=None):
+    """``solve_qstable_power2`` as the generic composition of pair splits."""
+    kw = {} if budget is None else {"budget": budget}
+    if q == 2:
+        return pair_split_as_stable(solve_pair_split(path, **kw), path)
+    return compose_splits(
+        path, 2, q // 2, lambda sub, k: composition_reference(sub, k, budget)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_power2_matches_composition_on_canonical_colorings(q):
+    checked = 0
+    for n in range(1, 10):
+        for colors in iter_canonical_colorings(n, 3):
+            if min(map(colors.count, range(1, max(colors) + 1))) < q - 1:
+                continue
+            path = ColoredPath(colors)
+            # StableSplit equality compares the classes in order
+            assert solve_qstable_power2(path, q) == composition_reference(path, q), colors
+            checked += 1
+    assert checked
+
+
+def test_power2_matches_composition_on_seeded_paths_with_small_budgets():
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(150):
+        q = rng.choice([2, 4, 8])
+        m = rng.randint(1, 4)
+        n = rng.randint((q - 1) * m, 120)
+        colors = [j for j in range(1, m + 1) for _ in range(q - 1)]
+        colors += [rng.randint(1, m) for _ in range(n - len(colors))]
+        rng.shuffle(colors)
+        path = ColoredPath(colors)
+        budget = rng.randint(1, 40)
+        got = verdict(solve_qstable_power2, path, q, budget=budget)
+        assert got == verdict(composition_reference, path, q, budget), colors
+        outcomes.add(type(got) if isinstance(got, StableSplit) else got[0])
+    # both endings occur, so the budget messages were compared too
+    assert outcomes == {StableSplit, BudgetExceededError}
+
+
+def test_power2_checks_class_sizes_before_any_search():
+    # one vertex of color 2 is too few for q=4; a budget of 1 would stop
+    # the first pair split, so the precondition must come first
+    path = ColoredPath((1, 1, 1, 2))
+    with pytest.raises(PreconditionError, match="q-1=3"):
+        solve_qstable_power2(path, 4, budget=1)
+
+
 def test_floor_ceil_goldens():
     assert floor_ceil_identities(7, 3, 2) == (True, True)
     assert floor_ceil_identities(0, 5, 9) == (True, True)
