@@ -19,15 +19,18 @@ sub-beads: color j then has q*a_j sub-beads, and by Alon (1987,
 most (q-1)m cuts exists.  Its cuts sit at multiples of 1/q, so it is
 an exact continuous splitting without any linear solve.  Every search
 node costs one unit of budget; running out is reported as such, never
-as nonexistence.  All continuous arithmetic is exact: a continuous
-splitting's allocation is kept in integers, in units of 1/d for d the
-lcm of its cut denominators (d = q for every split ``search_continuous``
-makes), so every check compares integers; fractions.Fraction appears
-only at the public boundary (cuts and ``allocation``).
+as nonexistence.  All continuous arithmetic is exact, in integers: an
+allocation counts units of 1/d, d the lcm of the cut denominators.  The
+search's own split is built and checked once, as its owner vector and
+an allocation in units of 1/q (``_search_allocation``), which both
+``search_continuous`` and the rounding pipeline use; fractions.Fraction
+appears only at the public boundary (cuts and ``allocation``).
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -58,7 +61,7 @@ class Necklace:
     def n(self) -> int:
         return len(self.beads)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return max(self.beads)
 
@@ -83,26 +86,37 @@ def remainders(neck: Necklace) -> dict[int, int]:
 AdvantageSpec = Mapping[int, Iterable[int]]
 
 
+def _index(value: object, what: str) -> int:
+    """value as an int: an integral number, or a string that int() reads."""
+    try:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be integers, got {value!r}") from None
+
+
 def normalize_advantages(
     neck: Necklace, advantages: AdvantageSpec | None
 ) -> dict[int, frozenset[int]]:
     """Validate an advantage assignment against the necklace remainders.
 
     Colors with r_j = 0 must be absent; every color with r_j != 0 must
-    name exactly r_j distinct thieves in 1..q.
+    name exactly r_j distinct thieves in 1..q.  Colors and thieves are
+    integers (a color key may be a string like "1"), each color named once.
     """
     given = {} if advantages is None else dict(advantages)
     r = remainders(neck)
     out: dict[int, frozenset[int]] = {}
-    for j, thieves in given.items():
-        j = int(j)
+    for key, thieves in given.items():
+        j = _index(key, "advantage colors")
+        if j in out:
+            raise SchemaError(f"color {j} is named twice in the advantages")
         if j not in r:
             raise SchemaError(f"color {j} does not exist")
         if r[j] == 0:
             raise SchemaError(
                 f"color {j} has remainder 0 and admits no advantaged thieves"
             )
-        listed = [int(t) for t in thieves]
+        listed = [_index(t, f"advantaged thieves of color {j}") for t in thieves]
         ts = frozenset(listed)
         if len(ts) != len(listed):
             raise SchemaError(f"duplicate thieves in the advantage list of color {j}")
@@ -195,14 +209,17 @@ def _first_owner(
     current one who is still owed beads, and a thief holding nothing
     whose target row equals that of a lower-numbered thief also holding
     nothing (swapping the two gives an earlier owner vector, so no
-    first solution is lost).  Every node costs one unit of ``budget``
+    first solution is lost); as twins thus start in index order, only the
+    nearest lower twin is checked.  Every node costs one unit of ``budget``
     before it is expanded; the stack is explicit and nothing is
     memoized.
     """
     n, q = len(beads), len(target)
     colors = [c - 1 for c in beads]
     totals = [sum(row) for row in target]
-    twins = [[s for s in range(t) if target[s] == target[t]] for t in range(q)]
+    # twin[t]: the nearest lower thief with t's target row, or -1
+    twin = [next((s for s in range(t - 1, -1, -1) if target[s] == target[t]), -1)
+            for t in range(q)]
     # orders[p]: the thieves to try after a bead held by p, keeping p
     # first; orders[q] serves the first bead, which has no holder before it
     orders = [[p, *(t for t in range(q) if t != p)] for p in range(q)]
@@ -250,7 +267,8 @@ def _first_owner(
                 continue
             if not owed[t][colors[d]]:
                 continue
-            if left[t] == totals[t] and any(left[s] == totals[s] for s in twins[t]):
+            s = twin[t]
+            if left[t] == totals[t] and s >= 0 and left[s] == totals[s]:
                 continue
             owed[t][colors[d]] -= 1
             left[t] -= 1
@@ -308,46 +326,31 @@ class ContinuousSplitting:
         if len(self.owners) != len(self.cuts) + 1:
             raise SchemaError("need exactly one owner per segment")
 
-    def _pieces(self, neck: Necklace) -> tuple[int, list[tuple[int, int, int]]]:
-        """(d, [(owner, bead, amount)]) for every nonempty piece, left to right.
+    def scaled_allocation(
+        self, neck: Necklace
+    ) -> tuple[int, dict[tuple[int, int], int]]:
+        """(d, (thief, bead) -> amount the thief receives, in units of 1/d).
 
-        d is the lcm of the cut denominators and amounts are integers in
-        units of 1/d.  Only beads 1..n are counted, so a cut outside
-        (0, n) moves no amount off the necklace.
+        d is the lcm of the cut denominators.  Only beads 1..n are
+        counted, so a cut outside (0, n) moves no amount off the
+        necklace.  The keys run bead by bead, each bead's thieves in the
+        order they first hold a piece of it.
         """
         d = lcm(*(c.denominator for c in self.cuts))
         n = neck.n
         bounds = (0, *(c.numerator * (d // c.denominator) for c in self.cuts), n * d)
-        pieces = []
+        alloc: dict[tuple[int, int], int] = {}
         for owner, lo, hi in zip(self.owners, bounds, bounds[1:]):
             for k in range(max(lo // d, 0) + 1, min(-(-hi // d), n) + 1):
                 amt = min(hi, k * d) - max(lo, k * d - d)
                 if amt > 0:
-                    pieces.append((owner, k, amt))
-        return d, pieces
-
-    def scaled_allocation(
-        self, neck: Necklace
-    ) -> tuple[int, dict[tuple[int, int], int]]:
-        """(d, (thief, bead) -> amount the thief receives, in units of 1/d)."""
-        d, pieces = self._pieces(neck)
-        alloc: dict[tuple[int, int], int] = {}
-        for owner, k, amt in pieces:
-            key = (owner, k)
-            alloc[key] = alloc.get(key, 0) + amt
+                    alloc[(owner, k)] = alloc.get((owner, k), 0) + amt
         return d, alloc
 
     def allocation(self, neck: Necklace) -> dict[tuple[int, int], Fraction]:
         """(thief, bead) -> amount of the bead the thief receives."""
         d, alloc = self.scaled_allocation(neck)
         return {key: Fraction(amt, d) for key, amt in alloc.items()}
-
-    def bead_owner_sequence(self, neck: Necklace) -> dict[int, list[int]]:
-        """Bead -> owners of its sub-pieces in left-to-right order."""
-        seq: dict[int, list[int]] = {k: [] for k in range(1, neck.n + 1)}
-        for owner, k, _ in self._pieces(neck)[1]:
-            seq[k].append(owner)
-        return seq
 
 
 def verify_continuous(neck: Necklace, cont: ContinuousSplitting) -> list[str]:
@@ -365,40 +368,36 @@ def verify_continuous(neck: Necklace, cont: ContinuousSplitting) -> list[str]:
     if len(cuts) > (neck.q - 1) * neck.m:
         violations.append("cut bound")
     d, alloc = cont.scaled_allocation(neck)
+    return violations + _share_violations(neck, d, alloc.items())
+
+
+def _share_violations(
+    neck: Necklace, d: int, shares: Iterable[tuple[tuple[int, int], int]]
+) -> list[str]:
+    """``verify_continuous``'s bead-sum and fairness clauses, amounts in 1/d."""
     totals: dict[tuple[int, int], int] = {}
     bead_sum = [0] * neck.n
-    for (t, k), amt in alloc.items():
+    for (t, k), amt in shares:
         j = neck.beads[k - 1]
         totals[(t, j)] = totals.get((t, j), 0) + amt
         bead_sum[k - 1] += amt
-    if any(s != d for s in bead_sum):
-        violations.append("bead sums")
+    violations = ["bead sums"] if any(s != d for s in bead_sum) else []
     # thief t holds totals/d of color j, which must equal a_j/q
-    for t in range(1, neck.q + 1):
-        for j in range(1, neck.m + 1):
-            if totals.get((t, j), 0) * neck.q != neck.a[j - 1] * d:
-                violations.append("fairness")
-                break
-        else:
-            continue
-        break
-    return violations
+    fair = all(
+        totals.get((t, j), 0) * neck.q == neck.a[j - 1] * d
+        for t in range(1, neck.q + 1)
+        for j in range(1, neck.m + 1)
+    )
+    return violations if fair else violations + ["fairness"]
 
 
-def search_continuous(
-    neck: Necklace, budget: int = NODE_BUDGET
-) -> ContinuousSplitting:
-    """Continuous fair splitting with at most (q-1)m cuts.
-
-    Cuts every bead into q sub-beads and asks ``_first_owner`` for a
-    whole-sub-bead split of this q-refined necklace that gives every
-    thief a_j sub-beads of color j, trying q-1 cuts up to (q-1)m.  By
-    Alon (1987) such a split exists, since every color count is now a
-    multiple of q.  A cut after sub-bead i becomes the cut at i/q.
-    Existence is guaranteed, so exhausting the search signals a defect;
-    running past ``budget`` search nodes is reported as such, never as
-    nonexistence.
-    """
+def _search_allocation(
+    neck: Necklace, budget: int
+) -> tuple[tuple[int, ...], list[int], dict[tuple[int, int], int]]:
+    """``search_continuous``'s q-refined owner vector, the sub-beads after
+    which it switches thief, and its allocation (thief, bead) -> sub-beads,
+    keyed as by ``scaled_allocation``; checked by ``verify_continuous``'s
+    clauses but shape, which holds by construction."""
     q = neck.q
     # each node on the way to a split is one sub-bead deeper, so with more
     # sub-beads than budget the search cannot finish: stop before building them
@@ -411,12 +410,31 @@ def search_continuous(
             "continuous search exhausted its enumeration; a fair splitting "
             "always exists"
         )
+    alloc = Counter((t, i // q + 1) for i, t in enumerate(owner))
     switches = [i for i in range(1, len(owner)) if owner[i - 1] != owner[i]]
-    cont = ContinuousSplitting(
-        cuts=tuple(Fraction(i, q) for i in switches),
-        owners=(owner[0], *(owner[i] for i in switches)),
-    )
-    bad = verify_continuous(neck, cont)
+    bad = ["cut bound"] if len(switches) > (q - 1) * neck.m else []
+    bad += _share_violations(neck, q, alloc.items())
     if bad:
         raise InternalInvariantError(f"continuous candidate failed verification: {bad}")
-    return cont
+    return owner, switches, alloc
+
+
+def search_continuous(
+    neck: Necklace, budget: int = NODE_BUDGET
+) -> ContinuousSplitting:
+    """Continuous fair splitting with at most (q-1)m cuts.
+
+    Cuts every bead into q sub-beads and asks ``_first_owner`` for a
+    whole-sub-bead split of this q-refined necklace that gives every
+    thief a_j sub-beads of color j, trying q-1 cuts up to (q-1)m.  By
+    Alon (1987) such a split exists, since every color count is now a
+    multiple of q.  A cut after sub-bead i becomes the cut at i/q.
+    Existence is guaranteed, so exhausting the search or failing the
+    checks of ``_search_allocation`` signals a defect; running past
+    ``budget`` search nodes is reported as such, never as nonexistence.
+    """
+    owner, switches, _ = _search_allocation(neck, budget)
+    return ContinuousSplitting(
+        cuts=tuple(Fraction(i, neck.q) for i in switches),
+        owners=(owner[0], *(owner[i] for i in switches)),
+    )

@@ -15,11 +15,13 @@ b-factor with b(bead) = 1 and b(t) = alpha_tj + [t in A_j]:
   A_j is every thief but the one left short.
 
 ``split_with_advantages`` chains these stages; it realizes any
-advantage assignment whose remainders all lie in {0, 1, q-1}.  The
-stages work on exact integers in units of 1/d, d the lcm of the cut
-denominators: the allocation is computed once after cycle cancelling
-and all m sharing graphs are built from it.  Fractions are made only
-for the public results (rebuilt cuts and ``ColorFlowGraph`` edges).
+advantage assignment whose remainders all lie in {0, 1, q-1}.  It runs
+on one integer core: one allocation in units of 1/d (d = q for the
+search's own split), cycles cancelled in place, and per color integer
+sharing graphs (``_IntGraph``) checked and rounded.  The Fraction-facing
+functions (``cancel_cycles``, ``build_flow_graph``, ``flow_equalities_ok``,
+``round_color_*``) are adapters that scale to integers and call the
+same rule code.
 The q=4 scenario with r_j = 2 where this rounding provably cannot
 help is packaged as ``demonstrate_r2_failure``.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Container, Mapping
@@ -39,9 +42,11 @@ from .necklace import (
     ContinuousSplitting,
     DiscreteSplitting,
     Necklace,
+    _search_allocation,
+    _share_violations,
     normalize_advantages,
     remainders,
-    search_continuous,
+    search_continuous,  # noqa: F401  not called here; perfbench/tracing.py patches it
     verify_continuous,
     verify_discrete,
 )
@@ -74,35 +79,45 @@ class ColorFlowGraph:
         return [e for e in self.edges if e[0] == t]
 
 
-def flow_equalities_ok(g: ColorFlowGraph) -> bool:
-    """Exact check of the per-thief, per-bead and total amount equalities.
+# a ColorFlowGraph whose edge amounts are integers in units of 1/d
+_IntGraph = namedtuple("_IntGraph", "color q r d split_beads edges alpha")
 
-    One pass over the edges sums every bead and every thief, in integer
-    units of 1/d, d the lcm of the edge denominators.
-    """
+
+def _scaled(g: ColorFlowGraph) -> _IntGraph:
+    """g in integer units of 1/d, d the lcm of its edge denominators."""
     d = math.lcm(*(u.denominator for u in g.edges.values()))
+    edges = {e: u.numerator * (d // u.denominator) for e, u in g.edges.items()}
+    return _IntGraph(g.color, g.q, g.r, d, g.split_beads, edges, g.alpha)
+
+
+def flow_equalities_ok(g: ColorFlowGraph) -> bool:
+    """Exact check of the per-thief, per-bead and total amount equalities."""
+    return _flow_ok(_scaled(g))
+
+
+def _flow_ok(g: _IntGraph) -> bool:
+    """``flow_equalities_ok`` by one pass summing every bead and thief."""
     bead_sum: dict[int, int] = {}
     thief_sum: dict[int, int] = {}
-    for (t, k), u in g.edges.items():
-        amt = u.numerator * (d // u.denominator)
+    for (t, k), amt in g.edges.items():
         bead_sum[k] = bead_sum.get(k, 0) + amt
         thief_sum[t] = thief_sum.get(t, 0) + amt
-    if sum(thief_sum.values()) != len(g.split_beads) * d:
+    if sum(thief_sum.values()) != len(g.split_beads) * g.d:
         return False
-    if any(bead_sum.get(k, 0) != d for k in g.split_beads):
+    if any(bead_sum.get(k, 0) != g.d for k in g.split_beads):
         return False
     for t in range(1, g.q + 1):
         alpha = g.alpha.get(t, 0)
         if t in thief_sum:
             # thief_sum/d == alpha + r/q, cross-multiplied
-            if thief_sum[t] * g.q != (alpha * g.q + g.r) * d:
+            if thief_sum[t] * g.q != (alpha * g.q + g.r) * g.d:
                 return False
         elif alpha != 0:
             return False
     return True
 
 
-def is_forest(g: ColorFlowGraph) -> bool:
+def is_forest(g: ColorFlowGraph | _IntGraph) -> bool:
     """True when the sharing graph is acyclic."""
     parent: dict[object, object] = {}
 
@@ -133,7 +148,9 @@ def build_flow_graph(
     if j < 1 or j > neck.m:
         raise PreconditionError(f"color {j} does not exist")
     d, alloc = cont.scaled_allocation(neck)
-    return _color_graph(neck, j, d, _shares_by_color(neck, alloc)[j - 1])
+    g = _color_graph(neck, j, d, _shares_by_color(neck, alloc)[j - 1])
+    edges = {e: Fraction(amt, d) for e, amt in g.edges.items()}
+    return ColorFlowGraph(j, g.q, g.r, g.split_beads, edges, g.alpha)
 
 
 def _shares_by_color(
@@ -148,26 +165,26 @@ def _shares_by_color(
 
 def _color_graph(
     neck: Necklace, j: int, d: int, shares: Mapping[tuple[int, int], int]
-) -> ColorFlowGraph:
+) -> _IntGraph:
     """``build_flow_graph`` from color j's shares, amounts in units of 1/d."""
     q = neck.q
     rj = neck.r[j - 1]
+    # one pass for every bead's owners and every thief's whole holding, one
+    # for every thief's split-bead total and edge count
     bead_owners: dict[int, list[int]] = {}
-    for t, k in shares:
+    held: dict[int, int] = {}
+    for (t, k), amt in shares.items():
         bead_owners.setdefault(k, []).append(t)
+        held[t] = held.get(t, 0) + amt
     split_beads = tuple(sorted(k for k, ts in bead_owners.items() if len(ts) >= 2))
     edges = {
         (t, k): shares[(t, k)] for k in split_beads for t in sorted(bead_owners[k])
     }
-    # one pass for every thief's split-bead total, edge count and whole holding
-    shared = {t: 0 for t, _ in edges}
-    degree = dict.fromkeys(shared, 0)
+    shared: dict[int, int] = {}
+    degree: dict[int, int] = {}
     for (t, _), amt in edges.items():
-        shared[t] += amt
-        degree[t] += 1
-    held: dict[int, int] = {}
-    for (t, _), amt in shares.items():
-        held[t] = held.get(t, 0) + amt
+        shared[t] = shared.get(t, 0) + amt
+        degree[t] = degree.get(t, 0) + 1
     alpha: dict[int, int] = {}
     for t in range(1, q + 1):
         if t in shared:
@@ -193,14 +210,7 @@ def _color_graph(
                     f"{Fraction(whole, d)} instead of {Fraction(neck.a[j - 1], q)}"
                 )
             alpha[t] = 0
-    return ColorFlowGraph(
-        color=j,
-        q=q,
-        r=rj,
-        split_beads=split_beads,
-        edges={e: Fraction(amt, d) for e, amt in edges.items()},
-        alpha=alpha,
-    )
+    return _IntGraph(j, q, rj, d, split_beads, edges, alpha)
 
 
 def _find_cycle(
@@ -296,6 +306,21 @@ def cancel_cycles(cont: ContinuousSplitting, neck: Necklace) -> ContinuousSplitt
     push moves a minimum of such multiples, so d stays a valid unit.
     """
     d, alloc = cont.scaled_allocation(neck)
+    runs = _cancel(neck, d, alloc, len(cont.cuts))[1]
+    if runs is None:
+        return cont
+    ends = itertools.accumulate(amt for _, amt in runs[:-1])
+    return ContinuousSplitting(
+        cuts=tuple(Fraction(e, d) for e in ends), owners=tuple(t for t, _ in runs)
+    )
+
+
+def _cancel(
+    neck: Necklace, d: int, alloc: Mapping[tuple[int, int], int], cuts: int
+) -> tuple[list[dict[tuple[int, int], int]], list[list[int]] | None]:
+    """``cancel_cycles`` on a ``scaled_allocation``-keyed allocation (units
+    of 1/d) of a splitting with ``cuts`` cuts: every color's shares, cycles
+    cancelled in place, and the checked rebuilt [thief, amount] runs or None."""
     by_color = _shares_by_color(neck, alloc)
     changed = False
     for shares in by_color:
@@ -303,7 +328,7 @@ def cancel_cycles(cont: ContinuousSplitting, neck: Necklace) -> ContinuousSplitt
             owners: dict[int, list[int]] = {}
             for t, k in shares:
                 owners.setdefault(k, []).append(t)
-            adj: dict[object, list[object]] = {}
+            adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
             for k, ts in owners.items():
                 if len(ts) < 2:
                     continue
@@ -314,41 +339,29 @@ def cancel_cycles(cont: ContinuousSplitting, neck: Necklace) -> ContinuousSplitt
             if cycle is None:
                 break
             changed = True
-            _push_around(shares, [(kind, v) for kind, v in cycle], d)
+            _push_around(shares, cycle, d)
     if not changed:
-        return cont
-
-    order = cont.bead_owner_sequence(neck)
-    merged: list[list[int]] = []
-    for k in range(1, neck.n + 1):
-        shares = by_color[neck.beads[k - 1] - 1]
-        seen: list[int] = []
-        for t in order[k]:
-            if t not in seen and (t, k) in shares:
-                seen.append(t)
-        for t in seen:
-            if merged and merged[-1][0] == t:
-                merged[-1][1] += shares[(t, k)]
-            else:
-                merged.append([t, shares[(t, k)]])
-    cuts: list[Fraction] = []
-    pos = 0
-    for _, amt in merged[:-1]:
-        pos += amt
-        cuts.append(Fraction(pos, d))
-    out = ContinuousSplitting(cuts=tuple(cuts), owners=tuple(t for t, _ in merged))
-    if len(out.cuts) > len(cont.cuts):
+        return by_color, None
+    runs: list[list[int]] = []
+    for t, k in alloc:
+        amt = by_color[neck.beads[k - 1] - 1].get((t, k))
+        if amt and runs and runs[-1][0] == t:
+            runs[-1][1] += amt
+        elif amt:
+            runs.append([t, amt])
+    if len(runs) - 1 > cuts:
         raise InternalInvariantError("cycle cancellation added cuts")
-    # the cut count is checked against the input's just above, so a cut
-    # bound violation here was already the input's, not a broken fairness
-    bad = [v for v in verify_continuous(neck, out) if v != "cut bound"]
+    # no cut bound: the count was just checked against the input's
+    bad = _share_violations(
+        neck, d, (item for shares in by_color for item in shares.items())
+    )
     if bad:
         raise InternalInvariantError(f"cycle cancellation broke fairness: {bad}")
-    return out
+    return by_color, runs
 
 
 def _round_forest(
-    g: ColorFlowGraph,
+    g: _IntGraph,
     r: int,
     advantaged: Container[int],
     check: Callable[[], None] = lambda: None,
@@ -363,7 +376,7 @@ def _round_forest(
         raise PreconditionError(
             f"this rounding handles r={r}, got r={g.r} for color {g.color}"
         )
-    if not flow_equalities_ok(g):
+    if not _flow_ok(g):
         raise PreconditionError(
             f"color {g.color}: edge amounts do not satisfy the flow equalities"
         )
@@ -392,12 +405,20 @@ def _round_forest(
 
 def round_color_r0(g: ColorFlowGraph) -> dict[int, int]:
     """Whole-bead assignment for a color with zero remainder."""
-    return _round_forest(g, 0, ())
+    return _round_forest(_scaled(g), 0, ())
 
 
 def round_color_r1(g: ColorFlowGraph, chosen: int) -> dict[int, int]:
     """Whole-bead assignment handing the chosen thief one extra bead."""
+    return _round_r1(_scaled(g), chosen)
 
+
+def round_color_rq1(g: ColorFlowGraph, disadvantaged: int) -> dict[int, int]:
+    """Whole-bead assignment leaving only the disadvantaged thief short."""
+    return _round_rq1(_scaled(g), disadvantaged)
+
+
+def _round_r1(g: _IntGraph, chosen: int) -> dict[int, int]:
     def check() -> None:
         if not 1 <= chosen <= g.q:
             raise PreconditionError(f"chosen thief {chosen} not in 1..{g.q}")
@@ -411,9 +432,7 @@ def round_color_r1(g: ColorFlowGraph, chosen: int) -> dict[int, int]:
     return _round_forest(g, 1, (chosen,), check)
 
 
-def round_color_rq1(g: ColorFlowGraph, disadvantaged: int) -> dict[int, int]:
-    """Whole-bead assignment leaving only the disadvantaged thief short."""
-
+def _round_rq1(g: _IntGraph, disadvantaged: int) -> dict[int, int]:
     def check() -> None:
         if not 1 <= disadvantaged <= g.q:
             raise PreconditionError(f"thief {disadvantaged} not in 1..{g.q}")
@@ -456,27 +475,31 @@ def split_with_advantages(
             f"remainders outside {{0, 1, q-1}}: {offending}"
         )
     if continuous is None:
-        continuous = search_continuous(neck, budget=budget)
+        d = q
+        _, switches, alloc = _search_allocation(neck, budget)
+        cuts = len(switches)
     elif verify_continuous(neck, continuous):
         raise PreconditionError("the supplied continuous splitting is not fair")
-    cont = cancel_cycles(continuous, neck)
+    else:
+        cuts = len(continuous.cuts)
+        d, alloc = continuous.scaled_allocation(neck)
+    by_color, runs = _cancel(neck, d, alloc, cuts)
+    if runs is not None:
+        cuts = len(runs) - 1
 
     owner: dict[int, int] = {}
-    d, alloc = cont.scaled_allocation(neck)
-    for (t, k), amt in alloc.items():
-        if amt == d:
-            owner[k] = t
-    for j, shares in enumerate(_shares_by_color(neck, alloc), start=1):
+    for j, shares in enumerate(by_color, start=1):
+        owner.update((k, t) for (t, k), amt in shares.items() if amt == d)
         g = _color_graph(neck, j, d, shares)
         rj = neck.r[j - 1]
         if rj == 0:
-            assigned = round_color_r0(g)
+            assigned = _round_forest(g, 0, ())
         elif rj == 1:
             (chosen,) = adv[j]
-            assigned = round_color_r1(g, chosen)
+            assigned = _round_r1(g, chosen)
         else:
             (disadvantaged,) = set(range(1, q + 1)) - adv[j]
-            assigned = round_color_rq1(g, disadvantaged)
+            assigned = _round_rq1(g, disadvantaged)
         owner.update(assigned)
 
     if sorted(owner) != list(range(1, neck.n + 1)):
@@ -485,10 +508,8 @@ def split_with_advantages(
     violations = verify_discrete(neck, advantages, split)
     if violations:
         raise InternalInvariantError(f"pipeline output failed checks: {violations}")
-    if split.cuts > len(cont.cuts):
-        raise InternalInvariantError(
-            f"rounding increased cuts: {split.cuts} > {len(cont.cuts)}"
-        )
+    if split.cuts > cuts:
+        raise InternalInvariantError(f"rounding increased cuts: {split.cuts} > {cuts}")
     return split
 
 

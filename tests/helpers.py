@@ -10,7 +10,9 @@ import time
 from fractions import Fraction
 from math import ceil, floor
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
+
+from fairsplit.necklace import _out_of_budget
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -92,3 +94,80 @@ def run_cli_capped(
         timeout=timeout, preexec_fn=cap,
     )
     return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+
+def first_owner_list_rule(
+    beads: Sequence[int],
+    target: Sequence[Sequence[int]],
+    min_cuts: int,
+    max_cuts: int,
+    budget: int,
+) -> tuple[int, ...] | None:
+    """``necklace._first_owner`` with the list twin rule: the oracle for it.
+
+    Here every thief keeps the list of all lower thieves with its target
+    row, and a thief holding nothing is pruned when any of them holds
+    nothing too; the search itself keeps only the nearest such thief.
+    """
+    n, q = len(beads), len(target)
+    colors = [c - 1 for c in beads]
+    totals = [sum(row) for row in target]
+    twins = [[s for s in range(t) if target[s] == target[t]] for t in range(q)]
+    # orders[p]: the thieves to try after a bead held by p, keeping p
+    # first; orders[q] serves the first bead, which has no holder before it
+    orders = [[p, *(t for t in range(q) if t != p)] for p in range(q)]
+    orders.append(list(range(q)))
+    nodes = 0
+
+    for limit in range(min_cuts, max_cuts + 1):
+        owed = [list(row) for row in target]
+        left = totals[:]
+        owing = sum(1 for x in left if x)
+        # every owed thief but the first needs a cut; each move below
+        # keeps cuts + owing - 1 <= limit, so only switches are checked
+        if owing - 1 > limit:
+            continue
+        # held[d] holds the thief of bead d-1; held[0] is the sentinel q
+        held = [q] * (n + 1)
+        tried = [0] * (n + 1)
+        cuts = d = 0
+        while True:
+            if d == n:
+                return tuple(t + 1 for t in held[1:])
+            k = tried[d]
+            if k == 0:
+                nodes += 1
+                if nodes > budget:
+                    raise _out_of_budget(budget)
+            if k == q:
+                if d == 0:
+                    break
+                d -= 1
+                t = held[d + 1]
+                if not left[t]:
+                    owing += 1
+                left[t] += 1
+                owed[t][colors[d]] += 1
+                if d and held[d] != t:
+                    cuts -= 1
+                continue
+            tried[d] = k + 1
+            prev = held[d]
+            t = orders[prev][k]
+            switch = d > 0 and t != prev
+            if switch and cuts + owing > limit:
+                tried[d] = q
+                continue
+            if not owed[t][colors[d]]:
+                continue
+            if left[t] == totals[t] and any(left[s] == totals[s] for s in twins[t]):
+                continue
+            owed[t][colors[d]] -= 1
+            left[t] -= 1
+            if not left[t]:
+                owing -= 1
+            cuts += switch
+            d += 1
+            held[d] = t
+            tried[d] = 0
+    return None

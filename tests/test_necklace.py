@@ -16,6 +16,7 @@ from fairsplit.necklace import (
     ContinuousSplitting,
     DiscreteSplitting,
     Necklace,
+    _first_owner,
     normalize_advantages,
     remainders,
     search_continuous,
@@ -23,7 +24,7 @@ from fairsplit.necklace import (
     verify_continuous,
     verify_discrete,
 )
-from helpers import canonical_colorings, fraction_allocation_oracle
+from helpers import canonical_colorings, first_owner_list_rule, fraction_allocation_oracle
 
 F = Fraction
 
@@ -91,6 +92,23 @@ def test_normalize_advantages_range_check_at_huge_q():
     for thieves in ([0, 1], [1, q + 1]):
         with pytest.raises(SchemaError, match="must lie in"):
             normalize_advantages(neck, {1: thieves})
+
+
+def test_normalize_advantages_rejects_non_integers():
+    neck = Necklace((1, 1, 1, 1), 3)
+    # 1.7 and 2.9 used to be truncated to color 1 and thief 2
+    for spec in ({1.7: [2.9]}, {1.0: [2]}, {1: [2.9]}, {1: [F(2)]}, {"x": [2]}, {1: ["t2"]}):
+        with pytest.raises(SchemaError, match="must be integers"):
+            normalize_advantages(neck, spec)
+    assert normalize_advantages(neck, {"1": [2]}) == {1: frozenset({2})}
+
+
+def test_normalize_advantages_rejects_a_color_named_twice():
+    neck = Necklace((1, 1, 1, 1), 3)
+    # the second key used to overwrite the first without a word
+    for spec in ({1: [1], "1": [2]}, {"1": [2], 1: [2]}, {1: [1], " 1": [1]}):
+        with pytest.raises(SchemaError, match="color 1 is named twice"):
+            normalize_advantages(neck, spec)
 
 
 def test_discrete_cut_count_is_adjacency_based():
@@ -166,6 +184,40 @@ def test_search_discrete_budget_guard():
         search_discrete(Necklace((1,) * 6, 2), None, max_cuts=2, budget=1)
 
 
+def first_owner_outcome(search, *args):
+    try:
+        return search(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_first_owner_twin_rule_matches_list_rule():
+    # the same owner vector, or the same budget stop, as the rule that
+    # checks every lower twin; on the necklace's own floor/ceil targets
+    # for every advantage assignment and on the q-refined targets
+    cases = stops = 0
+    for n in range(1, 7):
+        for colors in canonical_colorings(n, 3):
+            for q in (2, 3, 4):
+                neck = Necklace(colors, q)
+                refined = [c for c in colors for _ in range(q)]
+                searches = [(refined, [neck.a] * q, q - 1, (q - 1) * neck.m)]
+                for spec in advantage_specs(neck):
+                    target = [
+                        [aj // q + (t in spec.get(j, ())) for j, aj in enumerate(neck.a, 1)]
+                        for t in range(1, q + 1)
+                    ]
+                    searches.append((colors, target, 0, min((q - 1) * neck.m, n - 1)))
+                for args in searches:
+                    for budget in (3, 25, 400, 3_000):
+                        got = first_owner_outcome(_first_owner, *args, budget)
+                        want = first_owner_outcome(first_owner_list_rule, *args, budget)
+                        assert got == want, (colors, q, args[1], budget)
+                        cases += 1
+                        stops += isinstance(want, str)
+    assert cases > 10_000 and 0 < stops < cases
+
+
 # === continuous splittings ===
 
 def test_allocation_and_owner_sequence():
@@ -177,7 +229,8 @@ def test_allocation_and_owner_sequence():
         (2, 2): F(1, 2),
         (2, 3): F(1),
     }
-    assert cont.bead_owner_sequence(neck) == {1: [1], 2: [1, 2], 3: [2]}
+    # keys bead by bead, each bead's owners in left-to-right order
+    assert list(cont.scaled_allocation(neck)[1]) == [(1, 1), (1, 2), (2, 2), (2, 3)]
     assert verify_continuous(neck, cont) == []
 
 

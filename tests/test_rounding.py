@@ -7,6 +7,7 @@ preserve every thief's per-color totals on a sweep.
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -20,6 +21,7 @@ from fairsplit.errors import (
 from fairsplit.necklace import (
     ContinuousSplitting,
     Necklace,
+    normalize_advantages,
     search_continuous,
     search_discrete,
     verify_continuous,
@@ -465,6 +467,96 @@ def test_pipeline_every_q4_two_color_necklace_of_six_and_seven_beads():
                 spec = {j: list(ts) for j, ts in zip(live, choice)} or None
                 split = split_with_advantages(neck, spec)
                 assert verify_discrete(neck, spec, split) == [], (colors, spec)
+
+
+def pipeline_reference(neck, cont):
+    """spec -> (owner vector, cut bound) of ``split_with_advantages`` on a
+    fair continuous splitting, rebuilt from the public Fraction-facing
+    stages; the rounding alone depends on the advantage assignment."""
+    cont = cancel_cycles(cont, neck)
+    whole = {k: t for (t, k), amt in cont.allocation(neck).items() if amt == 1}
+    graphs = [build_flow_graph(cont, neck, j) for j in range(1, neck.m + 1)]
+
+    def owner_and_cuts(spec):
+        adv = normalize_advantages(neck, spec)
+        owner = dict(whole)
+        for j, g in enumerate(graphs, start=1):
+            if g.r == 0:
+                owner.update(round_color_r0(g))
+            elif g.r == 1:
+                (chosen,) = adv[j]
+                owner.update(round_color_r1(g, chosen))
+            else:
+                (disadvantaged,) = set(range(1, neck.q + 1)) - adv[j]
+                owner.update(round_color_rq1(g, disadvantaged))
+        return tuple(owner[k] for k in range(1, neck.n + 1)), len(cont.cuts)
+
+    return owner_and_cuts
+
+
+def admissible_specs(neck):
+    """Every advantage assignment, if every remainder lies in {0, 1, q-1}."""
+    if any(rj not in (0, 1, neck.q - 1) for rj in neck.r):
+        return
+    live = [j for j in range(1, neck.m + 1) if neck.r[j - 1]]
+    for choice in itertools.product(
+        *(itertools.combinations(range(1, neck.q + 1), neck.r[j - 1]) for j in live)
+    ):
+        yield {j: list(ts) for j, ts in zip(live, choice)} or None
+
+
+def traded_cuts(neck, cont):
+    """Fair splittings with cont's cut count whose sharing graphs may hold
+    cycles: two cuts between the same two thieves, each moved 1/(2q) into
+    a bead of one color, so that the thieves trade equal amounts of it."""
+    eps = F(1, 2 * neck.q)
+    moves = []  # (cut index, shift, color of the bead moved into, gainer, loser)
+    for i, c in enumerate(cont.cuts):
+        a, b = cont.owners[i], cont.owners[i + 1]
+        moves.append((i, -eps, neck.beads[math.ceil(c) - 1], b, a))
+        moves.append((i, eps, neck.beads[math.floor(c)], a, b))
+    for (i, s, j, gain, lose), (i2, s2, j2, gain2, lose2) in itertools.combinations(moves, 2):
+        if i != i2 and j == j2 and (gain, lose) == (lose2, gain2):
+            cuts = list(cont.cuts)
+            cuts[i] += s
+            cuts[i2] += s2
+            if all(x < y for x, y in zip(cuts, cuts[1:])):
+                yield ContinuousSplitting(cuts=tuple(cuts), owners=cont.owners)
+
+
+def test_pipeline_matches_public_stages_on_sweep():
+    # the integer core against the Fraction-facing stages it replaced: on
+    # the search's own splits, on fair splits traded into cycles (so that
+    # the core cancels them in place), and on 1/(2q) pieces, which the
+    # core must reject exactly when verify_continuous does
+    rng = random.Random(11)
+    cases = cancelled = rejected = 0
+    for n in range(1, 7):
+        for colors in canonical_colorings(n, 3):
+            for q in (2, 3, 4):
+                neck = Necklace(colors, q)
+                specs = list(admissible_specs(neck))
+                if not specs:
+                    continue
+                found = search_continuous(neck)
+                supplied = [*traded_cuts(neck, found)]
+                if n <= 4:
+                    supplied.append(halves_of_shares(neck, rng))
+                for cont in (None, *supplied):
+                    if cont is not None and verify_continuous(neck, cont):
+                        with pytest.raises(PreconditionError, match="not fair"):
+                            split_with_advantages(neck, specs[0], continuous=cont)
+                        rejected += 1
+                        continue
+                    reference = pipeline_reference(neck, cont or found)
+                    for spec in specs:
+                        owner, cuts = reference(spec)
+                        split = split_with_advantages(neck, spec, continuous=cont)
+                        assert split.owner == owner, (colors, q, spec, cont)
+                        assert split.cuts <= cuts
+                        cases += 1
+                    cancelled += cont is not None and cancel_cycles(cont, neck) is not cont
+    assert cases > 4000 and cancelled >= 10 and rejected > 40
 
 
 # === the r=2 wall ===
