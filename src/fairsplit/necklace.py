@@ -159,7 +159,13 @@ def verify_discrete(
     neck: Necklace, advantages: AdvantageSpec | None, split: DiscreteSplitting
 ) -> list[str]:
     """Check a discrete splitting clause by clause; returns violations."""
-    adv = normalize_advantages(neck, advantages)
+    return _discrete_violations(neck, normalize_advantages(neck, advantages), split)
+
+
+def _discrete_violations(
+    neck: Necklace, adv: Mapping[int, frozenset[int]], split: DiscreteSplitting
+) -> list[str]:
+    """``verify_discrete`` on an advantage assignment already normalized."""
     if len(split.owner) != neck.n or any(
         t < 1 or t > neck.q for t in split.owner
     ):
@@ -308,7 +314,7 @@ def search_discrete(
     if owner is None:
         return None
     found = DiscreteSplitting(owner)
-    if verify_discrete(neck, advantages, found):
+    if _discrete_violations(neck, adv, found):
         raise InternalInvariantError("discrete search accepted an unfair candidate")
     return found
 

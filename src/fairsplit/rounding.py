@@ -42,13 +42,14 @@ from .necklace import (
     ContinuousSplitting,
     DiscreteSplitting,
     Necklace,
+    _discrete_violations,
     _search_allocation,
     _share_violations,
     normalize_advantages,
     remainders,
     search_continuous,  # noqa: F401  not called here; perfbench/tracing.py patches it
     verify_continuous,
-    verify_discrete,
+    verify_discrete,  # noqa: F401  not called here; perfbench/tracing.py patches it
 )
 
 
@@ -505,7 +506,7 @@ def split_with_advantages(
     if sorted(owner) != list(range(1, neck.n + 1)):
         raise InternalInvariantError("rounding left a bead unassigned")
     split = DiscreteSplitting(tuple(owner[k] for k in range(1, neck.n + 1)))
-    violations = verify_discrete(neck, advantages, split)
+    violations = _discrete_violations(neck, adv, split)
     if violations:
         raise InternalInvariantError(f"pipeline output failed checks: {violations}")
     if split.cuts > cuts:

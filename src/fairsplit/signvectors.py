@@ -19,7 +19,11 @@ path splittings:
 * ``tucker_verify`` -- exhaustive verifier for antipodality and the
   absence of complementary comparable pairs, by zeta transforms over
   the face poset of {+,-,0}^n in O(n 3^n) rather than a scan of all
-  5^n comparable pairs.
+  5^n comparable pairs.  Each label is one bit of a mask in the
+  narrowest unsigned dtype that holds the labels' bits (uint16 for the
+  path labeling up to n = 8), and the transform folds one digit per
+  broadcast call, with the three low digits transposed to the top so
+  that every call runs over long inner runs.
 
 Vectors are stored as the two index sets (x+, x-), which turns
 ``precedes`` into two subset tests.  Enumerative sweeps run over base-3
@@ -411,39 +415,76 @@ def _zeta_up(table: np.ndarray, n: int, ufunc: np.ufunc) -> np.ndarray:
     Afterwards table[y] is the ufunc-reduction of the old table[x] over
     every x preceding y (y itself and the zero vector included).  The
     face poset is the n-fold product of 0 < +, 0 < -, so one pass per
-    coordinate suffices (Yates): the + and - digit each absorb digit 0.
+    coordinate suffices (Yates): the + and - digit each absorb digit 0,
+    in one broadcast call per digit.  Digit i's inner runs hold 3^i
+    entries, too short for numpy's loops below i = 3, so for n > 3 the
+    three low digits are folded after one transpose of the table from
+    (3^(n-3), 27) to (27, 3^(n-3)), which puts them on top, and the
+    result is transposed back.
     """
-    for i in range(n):
+    low = 3 if n > 3 else 0
+    for i in range(low, n):
         digit = table.reshape(3 ** (n - 1 - i), 3, 3**i)
-        ufunc(digit[:, 1], digit[:, 0], out=digit[:, 1])
-        ufunc(digit[:, 2], digit[:, 0], out=digit[:, 2])
+        ufunc(digit[:, 1:], digit[:, :1], out=digit[:, 1:])
+    if low:
+        grid = table.reshape(3 ** (n - low), 3**low)
+        lifted = grid.T.copy()
+        for i in range(low):
+            digit = lifted.reshape(3 ** (low - 1 - i), 3, 3**i * grid.shape[0])
+            ufunc(digit[:, 1:], digit[:, :1], out=digit[:, 1:])
+        grid[...] = lifted.T
     return table
 
 
-def _complementary_faces(labels: np.ndarray, n: int) -> np.ndarray:
+_SIGNED = tuple(np.dtype(d) for d in (np.int8, np.int16, np.int32, np.int64))
+_UNSIGNED = tuple(np.dtype(d) for d in (np.uint8, np.uint16, np.uint32, np.uint64))
+
+
+def _narrowest(dtypes: tuple[np.dtype, ...], bits: int) -> np.dtype:
+    """The narrowest of four 8/16/32/64-bit dtypes with at least this many bits."""
+    return dtypes[max((bits - 1).bit_length() - 3, 0)]
+
+
+def _complementary_faces(labels: np.ndarray, n: int, top: int) -> np.ndarray:
     """hit[y]: some x preceding y has label(x) = -label(y).
 
-    Each label becomes one bit of a uint64 mask, two bits per magnitude
-    with the sign in the low bit, so the complementary label sits at
-    bit ^ 1.  An OR zeta transform gathers the masks of all faces.
-    Labels of magnitude above 32 take one more round for each window of
-    32 magnitudes that holds a label.  labels[0] must be 0, which keeps
-    the zero vector out (its bit is -2).
+    labels is a signed array whose dtype holds +-2*top, where top is the
+    largest label magnitude, and labels[0] (the zero vector) is 0.  Each
+    label becomes one bit of a mask, two bits per magnitude: label l
+    takes bit z - 1, where z = max(2l, ~2l) = 2|l| - (l < 0) is its
+    zigzag code, so +1, -1, +2, -2 take bits 1, 0, 3, 2 and the
+    complementary label sits at bit ^ 1.  An OR zeta transform gathers
+    the masks of all faces, and y is hit when the result holds its
+    partner mask.  Bits run in windows of at most 64, each in the
+    narrowest unsigned dtype that holds its bits: one window of 2*top
+    bits when top <= 32.  Larger labels take one more round for each
+    window that holds a label, so sparse labels skip the empty ones and
+    nothing is sized by top.
     """
-    bit = 2 * np.abs(labels) - 2 + (labels < 0)
-    hit = np.zeros(3**n, dtype=bool)
-    low = 0
+    twice = labels + labels
+    np.maximum(twice, ~twice, out=twice)
+    bit = twice.view(_narrowest(_UNSIGNED, labels.itemsize * 8))
+    # the headroom of +-2*top keeps every bit below half the dtype's range,
+    # so the zero vector's bit (-1) and the bits below a window wrap to
+    # 64 or more past the window, where numpy's shifts give 0
+    bit -= 1
+    low = 0 if top <= 32 else int(bit[1:].min()) & ~1
+    hit = None
     while True:
-        # bits outside this round shift by 64 or more (negative ones wrap
-        # around), and numpy defines such shifts to give 0
-        shift = (bit - low).astype(np.uint64)
-        masks = np.uint64(1) << shift
+        end = low + 64
+        last = 2 * top <= end
+        width = 2 * top - low if last else int(bit[bit < end].max()) - low + 1
+        dtype = _narrowest(_UNSIGNED, width)
+        one = np.ones((), dtype=np.promote_types(dtype, bit.dtype))
+        shift = bit - low if low else bit
+        masks = (one << shift).astype(dtype, copy=False)
+        partner = (one << (shift ^ 1)).astype(dtype, copy=False)
         _zeta_up(masks, n, np.bitwise_or)
-        hit |= ((masks >> (shift ^ np.uint64(1))) & np.uint64(1)).astype(bool)
-        rest = bit[bit >= low + 64]
-        if rest.size == 0:
+        found = (masks & partner) != 0
+        hit = found if hit is None else hit | found
+        if last:
             return hit
-        low = int(rest.min()) // 64 * 64
+        low = int(bit[bit >= end].min()) & ~1
 
 
 def _face_codes(code: int, n: int) -> np.ndarray:
@@ -467,12 +508,17 @@ def tucker_verify(labels: np.ndarray, n: int, s: int) -> TuckerReport:
     most s.  A labeling accepted with s < n contradicts the octahedral
     Tucker lemma and is flagged as such.
 
+    Labels must be an integer array; floats, bools and objects are
+    rejected rather than truncated, and magnitudes of 2^62 or more are
+    out of range.  After the zero and magnitude checks the labels are
+    narrowed to the smallest signed dtype holding +-2*max|label|.
+
     The pair check costs O(n 3^n) while labels stay within magnitude
-    32: one OR zeta transform over the face poset finds every y with a
-    complementary face.  Only if there is one does an additive
-    transform per label value involved, O(n 3^n) each, count the pairs,
-    and the faces of the first such y give the reported pair.  Capped
-    at n <= T_ENUMERATION_CAP.
+    32: one OR zeta transform over the face poset, on masks of
+    2*max|label| bits, finds every y with a complementary face.  Only if
+    there is one does an additive transform per label value involved,
+    O(n 3^n) each, count the pairs, and the faces of the first such y
+    give the reported pair.  Capped at n <= T_ENUMERATION_CAP.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -480,26 +526,37 @@ def tucker_verify(labels: np.ndarray, n: int, s: int) -> TuckerReport:
     labels = np.asarray(labels)
     if labels.shape != (3**n,):
         raise ValueError(f"label array must have shape (3^{n},)")
-    labels = labels.astype(np.int64)
-    labels[0] = 0
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    # the zero and magnitude rules run on the input's own dtype, so no
+    # label wraps or truncates before it is checked
     body = labels[1:]
-    if (body == 0).any():
-        code = int(np.nonzero(body == 0)[0][0]) + 1
+    if not body.all():
+        code = int(np.flatnonzero(body == 0)[0]) + 1
         raise ValueError(f"label of {vector_from_code(code, n)} is zero")
-    if (np.abs(body) > s).any():
-        code = int(np.nonzero(np.abs(body) > s)[0][0]) + 1
+    low, high = int(body.min()), int(body.max())
+    if low < -s or high > s:
+        code = int(np.flatnonzero((body < -s) | (body > s))[0]) + 1
         raise ValueError(
             f"label of {vector_from_code(code, n)} exceeds magnitude s={s}"
         )
+    top = max(-low, high)
+    if top >= 2**62:
+        code = int(np.flatnonzero((body <= -(2**62)) | (body >= 2**62))[0]) + 1
+        raise ValueError(
+            f"label of {vector_from_code(code, n)} has magnitude 2^62 or more"
+        )
+    labels = labels.astype(_narrowest(_SIGNED, top.bit_length() + 2))
+    labels[0] = 0
 
-    neg = _negation_table(n)
-    anti_bad = np.nonzero(labels[neg[1:]] != -labels[1:])[0]
-    antipodal = anti_bad.size == 0
+    # a compare, not a sum: the narrow dtype holds +-top, so -labels is exact
+    anti_bad = labels[_negation_table(n)] != -labels
+    antipodal = not anti_bad.any()
     antipodal_violation = None
     if not antipodal:
-        antipodal_violation = vector_from_code(int(anti_bad[0]) + 1, n)
+        antipodal_violation = vector_from_code(int(anti_bad.argmax()), n)
 
-    hit = _complementary_faces(labels, n)
+    hit = _complementary_faces(labels, n, top)
     count = 0
     pair = None
     if hit.any():
@@ -507,7 +564,7 @@ def tucker_verify(labels: np.ndarray, n: int, s: int) -> TuckerReport:
             # a vector has at most 2^n <= 4096 faces, so int16 cannot overflow
             below = _zeta_up((labels == value).astype(np.int16), n, np.add)
             count += int(below[labels == -value].sum())
-        y = int(np.flatnonzero(hit)[0])
+        y = int(hit.argmax())
         faces = _face_codes(y, n)
         x = int(faces[labels[faces] == -labels[y]].min())
         pair = (vector_from_code(x, n), vector_from_code(y, n))

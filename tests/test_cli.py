@@ -1,8 +1,9 @@
 """End-to-end CLI runs, in process via main().
 
-Checks the exit-code contract (0 ok, 2 schema, 4 precondition,
-5 budget), the JSON documents on stdout, --json-out, stdin input, and
-that every emitted split re-parses and passes its verifier.
+Checks the exit-code contract (0 ok, 2 schema, 3 failed check,
+4 precondition, 5 budget), the JSON documents on stdout, --json-out,
+stdin input, and that every emitted split re-parses and passes its
+verifier.
 """
 
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from fairsplit import rounding
 from fairsplit.cli import _random_coloring, build_parser, main
 from fairsplit.jsonio import (
     cycle_split_from_json,
@@ -177,6 +179,15 @@ def test_split_necklace(capsys):
     assert out["owner"] == [1, 2, 3, 3]
     assert out["cuts"] == 2
     assert out["report"]["ok"] is True
+
+
+def test_split_necklace_failing_answer_exits_3(capsys, monkeypatch):
+    # the CLI's certificate is the pipeline's own check: a wrong answer exits 3
+    original = rounding._round_r1
+    monkeypatch.setattr(rounding, "_round_r1", lambda g, chosen: original(g, chosen % g.q + 1))
+    code, out, err = run(capsys, "split-necklace", "--input", fixture("necklace_q3.json"))
+    assert code == 3 and out is None
+    assert "advantage color 1" in err
 
 
 def test_split_necklace_q_flag(capsys):

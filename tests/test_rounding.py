@@ -14,8 +14,10 @@ from fractions import Fraction
 
 import pytest
 
+from fairsplit import rounding
 from fairsplit.errors import (
     BudgetExceededError,
+    InternalInvariantError,
     PreconditionError,
 )
 from fairsplit.necklace import (
@@ -406,6 +408,14 @@ def test_pipeline_accepts_precomputed_continuous():
     for chosen in (1, 2, 3):
         split = split_with_advantages(neck, {1: [chosen]}, continuous=cont)
         assert verify_discrete(neck, {1: [chosen]}, split) == []
+
+
+def test_pipeline_raises_on_a_bad_split(monkeypatch):
+    # hand color 1's extra bead to the thief after the chosen one
+    original = rounding._round_r1
+    monkeypatch.setattr(rounding, "_round_r1", lambda g, chosen: original(g, chosen % g.q + 1))
+    with pytest.raises(InternalInvariantError, match="advantage color 1"):
+        split_with_advantages(Necklace((1, 1, 1, 1), 3), {1: [3]})
 
 
 def test_pipeline_rejects_unfair_continuous():

@@ -9,6 +9,7 @@ broadcast verdict tables of ``_saturation`` replaced.
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fairsplit.signvectors import (
     _entry_table,
     _first_sign_table,
     _saturation,
+    _zeta_up,
     alt,
     compute_J,
     compute_t,
@@ -539,6 +541,109 @@ def test_tucker_rejects_bad_labelings():
         tucker_verify(np.array([0, 0, 0]), n=1, s=1)
     with pytest.raises(ValueError, match="exceeds"):
         tucker_verify(np.array([0, 5, -5]), n=1, s=1)
+
+
+@pytest.mark.parametrize("labels, s, message", [
+    # 1.7 would truncate to 1 and pass
+    pytest.param(np.array([0, 1.7, -1.7]), 1, "integers", id="float-1.7"),
+    # 2^64 - 1 would wrap to -1 and pass
+    pytest.param(np.array([0, 1, 2**64 - 1], dtype=np.uint64), 1, "exceeds", id="uint64-max"),
+    # np.abs(-2^63) overflows to -2^63, below any s
+    pytest.param(np.array([0, 1, -(2**63)], dtype=np.int64), 1, "exceeds", id="int64-min"),
+    # 1e30 would cast to -2^63
+    pytest.param(np.array([0, 1e30, -1e30]), 1, "integers", id="float-1e30"),
+    pytest.param(np.array([False, True, True]), 1, "integers", id="bool"),
+    pytest.param(np.array([0, 1, -1], dtype=object), 1, "integers", id="object"),
+    # s allows it, but twice such a label leaves int64
+    pytest.param(np.array([0, 1, -(2**63)], dtype=np.int64), 2**64, "2\\^62", id="int64-min-large-s"),
+])
+def test_tucker_rejects_labels_that_would_wrap_or_truncate(labels, s, message):
+    with pytest.raises(ValueError, match=message):
+        tucker_verify(labels, n=1, s=s)
+
+
+def zeta_reference(table, n, ufunc):
+    """One pass per digit over explicit codes: each code with digit i = 0
+    is folded into the codes with digit i = + and digit i = -."""
+    out = table.copy()
+    codes = np.arange(3**n)
+    for i in range(n):
+        base = codes[codes // 3**i % 3 == 0]
+        for digit in (1, 2):
+            above = base + digit * 3**i
+            out[above] = ufunc(out[above], out[base])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("ufunc, dtype", [
+    (np.bitwise_or, np.uint8), (np.bitwise_or, np.uint16),
+    (np.bitwise_or, np.uint64), (np.add, np.int64),
+])
+def test_zeta_up_matches_per_digit_reference(n, ufunc, dtype):
+    # n < 3 has fewer than three low digits to transpose; n = 3 has no rest
+    rng = np.random.default_rng(n)
+    if ufunc is np.add:
+        table = rng.integers(0, 4, size=3**n).astype(dtype)
+    else:
+        table = (np.uint64(1) << rng.integers(0, 8 * np.dtype(dtype).itemsize,
+                                             size=3**n).astype(np.uint64)).astype(dtype)
+    expected = zeta_reference(table, n, ufunc)
+    assert np.array_equal(_zeta_up(table.copy(), n, ufunc), expected)
+    if n <= 4:
+        # the definition: the reduction over every face, y itself included
+        vecs = list(all_vectors(n))
+        for y in vecs:
+            faces = [table[vector_code(x)] for x in vecs if precedes(x, y)]
+            assert expected[vector_code(y)] == ufunc.reduce(np.array(faces, dtype=dtype))
+
+
+@pytest.mark.parametrize("s", [4, 8, 9, 16, 17, 32, 33])
+def test_tucker_matches_pair_scan_on_mask_width_edges(s):
+    # the largest magnitude sets the mask width: 2s bits fill uint8/16/32/64
+    # at s = 4, 8, 16, 32 and spill into the next width (or window) past them
+    rng = np.random.default_rng(s)
+    for antipodal in (True, False):
+        labels = random_labeling(rng, 5, s, antipodal)
+        assert np.abs(labels).max() == s
+        rep = assert_matches_pair_scan(labels, 5, s)
+        assert rep.antipodal == antipodal and not rep.ok
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8])
+def test_tucker_on_narrow_integer_dtypes(dtype):
+    classes = ((1, 2, 3), (4, 5))
+    labels, t = lambda_table(classes)
+    s = t + len(classes)
+    first_sign = np.sign(labels)
+    signed = np.issubdtype(dtype, np.signedinteger)
+    for case in (labels, first_sign):
+        if not signed:
+            # every label positive: not antipodal, and no pair sums to zero
+            case = np.abs(case)
+        rep = tucker_verify(case.astype(dtype), 5, s)
+        assert rep == tucker_verify(case.astype(np.int64), 5, s)
+        assert rep.antipodal == signed
+        assert rep.complementary_pairs == len(pair_scan_oracle(case.astype(np.int64), 5))
+    if signed:
+        # magnitudes up to the dtype's own maximum
+        top = int(np.iinfo(dtype).max)
+        rep = tucker_verify((labels * (top // s)).astype(dtype), 5, top)
+        assert rep.ok and rep.antipodal
+
+
+def test_tucker_sparse_huge_labels_take_no_table_sized_by_s():
+    # labels +-1 and +-10^9 only: one window for each, none for the gap
+    n = 8
+    labels, t = lambda_table(((1, 2, 3), (4, 5), (6, 7, 8)))
+    small = np.where(np.abs(labels) > 1, 2 * np.sign(labels), labels)
+    huge = np.where(np.abs(labels) > 1, 10**9 * np.sign(labels), labels)
+    start = time.perf_counter()
+    rep = tucker_verify(huge, n, 10**9)
+    assert time.perf_counter() - start < 1.0
+    # relabeling 2 -> 10^9 keeps every sum's sign, so the reports agree
+    assert replace(rep, s=2) == tucker_verify(small, n, 2)
+    assert rep.antipodal and rep.complementary_pairs > 0
 
 
 def test_tucker_rejects_oversize():
