@@ -475,7 +475,8 @@ def _complementary_faces(labels: np.ndarray, n: int, top: int) -> np.ndarray:
         last = 2 * top <= end
         width = 2 * top - low if last else int(bit[bit < end].max()) - low + 1
         dtype = _narrowest(_UNSIGNED, width)
-        one = np.ones((), dtype=np.promote_types(dtype, bit.dtype))
+        # one element, not 0-d: numpy 1.x would demote a 0-d 1 to uint8
+        one = np.ones(1, dtype=np.promote_types(dtype, bit.dtype))
         shift = bit - low if low else bit
         masks = (one << shift).astype(dtype, copy=False)
         partner = (one << (shift ^ 1)).astype(dtype, copy=False)
