@@ -2,7 +2,7 @@
 
 Each subcommand drives one library entry point and prints its result as
 a JSON object on stdout, one top-level key per line; ``--json-out FILE``
-writes the same document to a file.  Instances are read from
+writes the same document to a file.  Instances are read as UTF-8 from
 ``--input`` (``-`` for stdin).  Exit codes are a stable contract:
 0 success, 2 malformed input or a file that cannot be read or written,
 3 internal invariant failure, 4 violated precondition, 5 exceeded budget.
@@ -52,14 +52,36 @@ from .rounding import split_with_advantages
 from .signvectors import lambda_table, tucker_verify
 
 
+def _pathlib_name(name: str) -> str:
+    """``name`` as ``str(pathlib.Path(name))`` spells it.
+
+    ``--input`` names a file as ``pathlib`` does, in its error messages
+    too: empty and ``.`` parts drop out, so ``x.json/`` opens ``x.json``,
+    and ``''`` is ``.``.  Building a ``Path`` costs about as much as
+    reading a small file, so only a name that may have such parts does.
+    """
+    if (not name or name.startswith("./") or name.endswith(("/", "/."))
+            or "//" in name or "/./" in name):
+        return str(Path(name))
+    return name
+
+
 def _read_instance(args: argparse.Namespace, kind: str) -> Instance:
-    if args.input == "-":
-        text = sys.stdin.read()
+    from_stdin = args.input == "-"
+    if from_stdin:
+        data = sys.stdin.buffer.read()
     else:
-        try:
-            text = Path(args.input).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"input is not valid UTF-8: {exc}") from exc
+        with open(_pathlib_name(args.input), "rb") as f:
+            data = f.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not valid UTF-8: {exc}") from exc
+    # a file reads \r\n and \r as \n, as text mode does, and JSON error
+    # positions count characters after that; stdin keeps them, as the
+    # text layer of sys.stdin does on POSIX
+    if not from_stdin and "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     inst = loads_instance(text)
     if inst.kind != kind:
         raise SchemaError(
@@ -203,7 +225,7 @@ def cmd_conjecture_scan(args: argparse.Namespace) -> dict[str, Any]:
             file=sys.stderr,
         )
     if mode == "exhaustive":
-        # the order of iter_colorings: by n, then m, then lexicographic
+        # the order of a scan over every coloring: by n, then m, then lexicographic
         missing.sort(key=lambda c: (len(c), max(c), c))
     return {
         "q": q,
@@ -234,8 +256,8 @@ def _positive_int(text: str) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and argparse's map from command name to subparser."""
     parser = argparse.ArgumentParser(
         prog="fairsplit",
         description="Fair splitting of colored paths, cycles, and necklaces.",
@@ -301,11 +323,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"search nodes per path (default {NODE_BUDGET}); running "
                         f"out stops the scan with exit 5")
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, with less work.
+
+    A request that names a command first runs that command's parser
+    alone, as the full parser would, with the same help and errors.  Any
+    other request, or one that leaves arguments over, goes through the
+    full parser, which prints what it always has.
+    """
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         text = _dumps_top_level(args.func(args))
         if args.json_out:

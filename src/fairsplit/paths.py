@@ -641,14 +641,6 @@ def floor_ceil_identities(a: int, b: int, c: int) -> tuple[bool, bool]:
     return floor_ok, ceil_ok
 
 
-def iter_colorings(n: int, max_m: int) -> Iterator[ColoredPath]:
-    """All paths on n vertices with at most max_m colors, every color used."""
-    for m in range(1, min(max_m, n) + 1):
-        for colors in itertools.product(range(1, m + 1), repeat=n):
-            if len(set(colors)) == m:
-                yield ColoredPath(colors)
-
-
 def iter_canonical_colorings(n: int, max_m: int) -> Iterator[tuple[int, ...]]:
     """One coloring per class of color relabelings, as restricted growth strings.
 
@@ -658,9 +650,9 @@ def iter_canonical_colorings(n: int, max_m: int) -> Iterator[tuple[int, ...]]:
     the colors holds exactly one canonical member, its lexicographically
     smallest, so with exactly m colors there are S(n, m) (Stirling
     numbers of the second kind) of them, each standing for m! colorings.
-    Like ``iter_colorings``, m ascends and each m runs in lexicographic
-    order; the colorings come as tuples, so callers build no path for
-    those they skip.
+    As in the product of all m^n colorings, m ascends and each m runs in
+    lexicographic order; the colorings come as tuples, so callers build
+    no path for those they skip.
     """
     for m in range(1, min(max_m, n) + 1):
         # the smallest string: ones, then each new color once at the end

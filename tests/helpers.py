@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import resource
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from fairsplit.necklace import _out_of_budget
+from fairsplit.paths import ColoredPath
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -45,6 +47,18 @@ def set_partitions(n: int, max_classes: int | None = None) -> Iterator[tuple[tup
         yield tuple(tuple(c) for c in classes)
 
 
+def iter_colorings(n: int, max_m: int) -> Iterator[ColoredPath]:
+    """All paths on n vertices with at most max_m colors, every color used.
+
+    The m^n product twin of ``iter_canonical_colorings``: the oracle for
+    it and for ``conjecture-scan``'s exhaustive sweep.
+    """
+    for m in range(1, min(max_m, n) + 1):
+        for colors in itertools.product(range(1, m + 1), repeat=n):
+            if len(set(colors)) == m:
+                yield ColoredPath(colors)
+
+
 def canonical_colorings(n: int, max_m: int) -> Iterator[tuple[int, ...]]:
     """Color sequences of length n, at most max_m colors, labeled by first occurrence.
 
@@ -73,12 +87,13 @@ def fraction_allocation_oracle(cont, neck) -> dict[tuple[int, int], Fraction]:
 
 
 def run_cli_capped(
-    argv: list[str], stdin: str = "", *, memory_mb: int = 512, timeout: float = 30.0
+    argv: list[str], stdin: str | bytes = "", *, memory_mb: int = 512, timeout: float = 30.0
 ) -> tuple[int, str, str, float]:
     """Run ``python -m fairsplit.cli`` with argv in a capped subprocess.
 
     The child's address space is limited to memory_mb (RLIMIT_AS), and
     OpenBLAS runs one thread, whose buffers then fit under that cap.
+    A str stdin is sent as UTF-8, bytes as they are.
     Returns (exit code, stdout, stderr, seconds elapsed).
     """
     limit = memory_mb * 2**20
@@ -90,10 +105,11 @@ def run_cli_capped(
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "fairsplit.cli", *argv],
-        input=stdin, capture_output=True, text=True, env=env,
-        timeout=timeout, preexec_fn=cap,
+        input=stdin.encode() if isinstance(stdin, str) else stdin,
+        capture_output=True, env=env, timeout=timeout, preexec_fn=cap,
     )
-    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    return done.returncode, done.stdout.decode(), done.stderr.decode(), elapsed
 
 
 def first_owner_list_rule(

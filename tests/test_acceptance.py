@@ -23,7 +23,6 @@ from fairsplit.paths import (
     compose_splits,
     enumerate_qstable_splits,
     floor_ceil_identities,
-    iter_colorings,
     solve_cycle_split,
     solve_pair_split,
     solve_qstable_power2,
@@ -39,7 +38,7 @@ from fairsplit.rounding import (
     is_forest,
     split_with_advantages,
 )
-from helpers import canonical_colorings
+from helpers import canonical_colorings, iter_colorings
 
 
 def _verdict(num, desc, failures):

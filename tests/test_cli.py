@@ -9,32 +9,35 @@ verifier.
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import random
 import re
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from fairsplit import rounding
+from fairsplit import cli, rounding
 from fairsplit.cli import _random_coloring, build_parser, main
+from fairsplit.errors import SchemaError
 from fairsplit.jsonio import (
     cycle_split_from_json,
+    loads_instance,
     pair_split_from_json,
     stable_split_from_json,
 )
 from fairsplit.necklace import DiscreteSplitting, Necklace, verify_discrete
 from fairsplit.paths import (
     ColoredPath,
-    iter_colorings,
     qstable_split_exists,
     solve_qstable_bruteforce,
     verify_cycle_split,
     verify_pair_split,
     verify_qstable_split,
 )
-from helpers import run_cli_capped
+from helpers import iter_colorings, run_cli_capped
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -60,10 +63,13 @@ def test_split_path(capsys):
     assert verify_pair_split(ColoredPath((1, 1, 2, 2)), split) == []
 
 
+def posix_stdin(data):
+    """A stand-in for sys.stdin on POSIX: UTF-8 text over a byte buffer, line ends kept."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+
+
 def test_split_path_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "sys.stdin", io.StringIO('{"kind": "path", "colors": [1, 1, 2, 2]}')
-    )
+    monkeypatch.setattr("sys.stdin", posix_stdin(b'{"kind": "path", "colors": [1, 1, 2, 2]}'))
     code, out, _ = run(capsys, "split-path", "--input", "-")
     assert code == 0 and out["removed"] == {"1": 1, "2": 3}
 
@@ -120,7 +126,7 @@ def test_readme_split_necklace_example_prints_the_readme_block(capsys, monkeypat
         r"\$ echo '(.*)' \\\n\s+\| fairsplit split-necklace --input -\n(.*?)\n```", readme, re.S
     )
     assert example
-    monkeypatch.setattr("sys.stdin", io.StringIO(example[1]))
+    monkeypatch.setattr("sys.stdin", posix_stdin(example[1].encode()))
     assert main(["split-necklace", "--input", "-"]) == 0
     assert capsys.readouterr().out == example[2] + "\n"
 
@@ -147,6 +153,191 @@ def test_non_utf8_file_is_schema_error(capsys, tmp_path):
     target.write_bytes(b'{"kind": "path", "colors": [1, 1, 2, 2]}\xff')
     code, _, err = run(capsys, "split-path", "--input", str(target))
     assert code == 2 and "not valid UTF-8" in err and "Traceback" not in err
+
+
+def outcome(capsys, argv=None):
+    """(exit code, stdout, stderr) of main(argv), argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def full_parser_outcome(capsys, monkeypatch, argv):
+    """outcome() with every argv parsed by the full parser, then run by args.func."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_args", lambda a: build_parser().parse_args(a))
+        return outcome(capsys, argv)
+
+
+ARGV_TABLE = [
+    [], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "--input", "PATH"],
+    ["--input", "PATH", "split-path"], ["split"],
+    *([command, "-h"] for command in (
+        "split-path", "split-cycle", "split-necklace", "split-stable",
+        "tucker-check", "conjecture-scan",
+    )),
+    ["split-path"], ["split-path", "--input"], ["split-path", "--input", "PATH", "--budget", "0"],
+    ["split-path", "--input", "PATH", "--budget", "x"],
+    ["split-necklace", "--input", "NECKLACE", "--q", "1"],
+    ["split-path", "--input=PATH"], ["split-path", "--inp", "PATH"],
+    ["split-path", "--input", "PATH", "--frob"], ["split-path", "--input", "PATH", "-x"],
+    ["split-path", "--input", "PATH", "extra"], ["split-path", "extra", "--input", "PATH"],
+    ["split-path", "--input", "PATH", "-h"], ["split-path", "-h", "extra"],
+    ["split-path", "--", "--input", "PATH"],
+    ["split-path", "--input", "PATH", "--input", "NECKLACE"],
+    ["split-path", "--json-out", "OUT", "--input", "PATH"],
+    ["split-path", "--input", "PATH", "--json-out", "OUT"],
+    ["split-path", "--input", "PATH", "--json-out", "OUT", "more"],
+    ["split-cycle", "--input", "CYCLE"], ["split-stable", "--input", "PATH", "--q", "3"],
+    ["split-stable", "--input", "PATH", "--q", "3", "--enforce-upper", "--budget", "2"],
+    ["split-necklace", "--input", "NECKLACE"], ["tucker-check", "--input", "PATH"],
+    ["tucker-check", "--input", "PATH", "--q", "3"],
+    ["conjecture-scan", "--q", "3", "--max-n", "4", "--max-m", "2"],
+    ["conjecture-scan", "--q", "3", "--max-n", "4", "--samples", "5", "--seed", "-1"],
+    ["conjecture-scan", "--q", "3"],
+    ["conjecture-scan", "--input", "PATH", "--q", "3", "--max-n", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE, ids=" ".join)
+def test_main_answers_every_argv_as_the_full_parser_does(capsys, monkeypatch, tmp_path, argv):
+    names = {
+        "PATH": fixture("path_small.json"), "CYCLE": fixture("cycle_small.json"),
+        "NECKLACE": fixture("necklace_q3.json"), "OUT": str(tmp_path / "out.json"),
+    }
+    argv = [re.sub("PATH|CYCLE|NECKLACE|OUT", lambda m: names[m[0]], a) for a in argv]
+    assert outcome(capsys, argv) == full_parser_outcome(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["split-path", "--input", "PATH"],
+                                  ["split-path", "--input", "PATH", "extra"]])
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, argv):
+    argv = [fixture("path_small.json") if a == "PATH" else a for a in argv]
+    expected = outcome(capsys, argv)
+    monkeypatch.setattr("sys.argv", ["anything", *argv])
+    assert outcome(capsys) == expected
+
+
+def text_mode_read_instance(args, kind):
+    """``cli._read_instance`` in text mode: the oracle for its binary read.
+
+    A file is read through pathlib in text mode, stdin through its own
+    text layer.
+    """
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"input is not valid UTF-8: {exc}") from exc
+    inst = loads_instance(text)
+    if inst.kind != kind:
+        raise SchemaError(f"{args.command} needs a {kind} instance, got kind={inst.kind!r}")
+    return inst
+
+
+def text_mode_outcome(capsys, monkeypatch, argv):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_instance", text_mode_read_instance)
+        return outcome(capsys, argv)
+
+
+VALID_READS = {
+    "plain": b'{"kind": "path", "colors": [1, 1, 2, 2]}',
+    "bom": b'\xef\xbb\xbf{"kind": "path", "colors": [1, 1, 2, 2]}',
+    "crlf": b'{\r\n  "kind": "path",\r\n  "colors": [1, 1, 2, 2]\r\n}\r\n',
+    "crlf-malformed": b'{\r\n  "kind": "path",\r\n  "colors": [1, 1, 2, 2,]\r\n}\r\n',
+    "cr": b'{\r  "kind": "path",\r  "colors": [1, 1, 2, 2]\r}\r',
+    "cr-malformed": b'{\r  "kind": "path",\r\r  "colors": [1, 1, 2, 2,]\r}',
+    "mixed-malformed": b'{\n\r\n\r"kind":\r\n "path", "colors": [1, x]}',
+    "non-ascii": '{"kind": "path", "colors": [1, 1, 2, 2], "f\u00fcr": "\u2603"}'.encode(),
+    "cycle-crlf": b'{"kind": "cycle",\r\n "colors": [1, 1, 2, 2, 1]}',
+    "empty": b"",
+}
+INVALID_UTF8_READS = {
+    "trailing-ff": b'{"kind": "path", "colors": [1, 1, 2, 2]}\xff',
+    "ff-after-crlf": b'{\r\n"kind": "path",\r\n\xff}',
+    "truncated": b'{"kind": "p\xc3',
+    "surrogate": b'{"kind": "\xed\xa0\x80"}',
+}
+
+
+@pytest.mark.parametrize("data", [*VALID_READS.values(), *INVALID_UTF8_READS.values()],
+                         ids=[*VALID_READS, *INVALID_UTF8_READS])
+def test_file_reads_as_in_text_mode(capsys, monkeypatch, tmp_path, data):
+    target = tmp_path / "instance.json"
+    target.write_bytes(data)
+    argv = ["split-path", "--input", str(target)]
+    assert outcome(capsys, argv) == text_mode_outcome(capsys, monkeypatch, argv)
+
+
+def test_pathlib_name_spells_every_short_name_as_pathlib_does():
+    for k in range(7):
+        for parts in itertools.product(["a", ".", "..", "/"], repeat=k):
+            name = "".join(parts)
+            assert cli._pathlib_name(name) == str(Path(name)), name
+
+
+@pytest.mark.parametrize("name", [
+    "inst.json", "./inst.json", "d//inst.json", "d/./inst.json", "d/.", "d/./", "./d/../inst.json",
+    "inst.json/", "d/inst.json//", ".inst.json", "d/.inst.json", "", ".", "./", "d", "d/",
+    "no_such.json", "./no_such.json", "d//no_such.json", "d/./no_such.json", "no_such/",
+    "inst.json/x", "ABS", "//ABS",
+])
+def test_file_names_resolve_as_pathlib_spells_them(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    for target in ("inst.json", ".inst.json", "d/inst.json", "d/.inst.json"):
+        (tmp_path / target).write_text('{"kind": "path", "colors": [1, 1, 2, 2]}')
+    name = name.replace("ABS", str(tmp_path / "inst.json").lstrip("/"))
+    argv = ["split-path", "--input", name]
+    assert outcome(capsys, argv) == text_mode_outcome(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("data", VALID_READS.values(), ids=VALID_READS)
+def test_stdin_reads_as_its_text_layer_did(capsys, monkeypatch, data):
+    argv = ["split-path", "--input", "-"]
+    monkeypatch.setattr("sys.stdin", posix_stdin(data))
+    new = outcome(capsys, argv)
+    monkeypatch.setattr("sys.stdin", posix_stdin(data))
+    assert new == text_mode_outcome(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("data", INVALID_UTF8_READS.values(), ids=INVALID_UTF8_READS)
+def test_invalid_utf8_on_stdin_reads_as_from_a_file(capsys, monkeypatch, tmp_path, data):
+    target = tmp_path / "instance.json"
+    target.write_bytes(data)
+    from_file = outcome(capsys, ["split-path", "--input", str(target)])
+    monkeypatch.setattr("sys.stdin", posix_stdin(data))
+    assert outcome(capsys, ["split-path", "--input", "-"]) == from_file
+    assert from_file[0] == 2 and "input is not valid UTF-8" in from_file[2]
+
+
+@pytest.mark.parametrize("encoding", [None, "utf-8:strict", "utf-8:surrogateescape", "latin-1"])
+def test_invalid_utf8_on_real_stdin_exits_2_in_every_locale(monkeypatch, encoding):
+    # a strict UTF-8 stdin once raised UnicodeDecodeError here, a traceback and exit 1
+    if encoding is None:
+        monkeypatch.delenv("PYTHONIOENCODING", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONIOENCODING", encoding)
+    code, out, err, _ = run_cli_capped(["split-path", "--input", "-"], b"\xff{}")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
+
+
+def test_real_stdin_keeps_carriage_returns_in_json_error_positions():
+    raw = '{\r\n  "kind": "path",\r\n  "colors": [1, 1, 2, 2,]\r\n}'
+    code, _, err, _ = run_cli_capped(["split-path", "--input", "-"], raw)
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(raw)
+    assert code == 2 and err == f"error: input is not valid JSON: {exc.value}\n"
 
 
 def test_missing_file_is_schema_error(capsys):

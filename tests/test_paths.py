@@ -26,7 +26,6 @@ from fairsplit.paths import (
     enumerate_qstable_splits,
     floor_ceil_identities,
     iter_canonical_colorings,
-    iter_colorings,
     pair_split_as_stable,
     qstable_split_exists,
     solve_cycle_split,
@@ -37,7 +36,7 @@ from fairsplit.paths import (
     verify_pair_split,
     verify_qstable_split,
 )
-from helpers import canonical_colorings
+from helpers import canonical_colorings, iter_colorings
 
 
 # === oracles ===
