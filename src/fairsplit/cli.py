@@ -52,26 +52,12 @@ from .rounding import split_with_advantages
 from .signvectors import lambda_table, tucker_verify
 
 
-def _pathlib_name(name: str) -> str:
-    """``name`` as ``str(pathlib.Path(name))`` spells it.
-
-    ``--input`` names a file as ``pathlib`` does, in its error messages
-    too: empty and ``.`` parts drop out, so ``x.json/`` opens ``x.json``,
-    and ``''`` is ``.``.  Building a ``Path`` costs about as much as
-    reading a small file, so only a name that may have such parts does.
-    """
-    if (not name or name.startswith("./") or name.endswith(("/", "/."))
-            or "//" in name or "/./" in name):
-        return str(Path(name))
-    return name
-
-
 def _read_instance(args: argparse.Namespace, kind: str) -> Instance:
     from_stdin = args.input == "-"
     if from_stdin:
         data = sys.stdin.buffer.read()
     else:
-        with open(_pathlib_name(args.input), "rb") as f:
+        with open(Path(args.input), "rb") as f:
             data = f.read()
     try:
         text = data.decode()

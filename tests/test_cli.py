@@ -9,7 +9,6 @@ verifier.
 import importlib
 import importlib.util
 import io
-import itertools
 import json
 import random
 import re
@@ -273,13 +272,6 @@ def test_file_reads_as_in_text_mode(capsys, monkeypatch, tmp_path, data):
     target.write_bytes(data)
     argv = ["split-path", "--input", str(target)]
     assert outcome(capsys, argv) == text_mode_outcome(capsys, monkeypatch, argv)
-
-
-def test_pathlib_name_spells_every_short_name_as_pathlib_does():
-    for k in range(7):
-        for parts in itertools.product(["a", ".", "..", "/"], repeat=k):
-            name = "".join(parts)
-            assert cli._pathlib_name(name) == str(Path(name)), name
 
 
 @pytest.mark.parametrize("name", [
