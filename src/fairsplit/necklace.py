@@ -224,12 +224,11 @@ def _first_owner(
     colors = [c - 1 for c in beads]
     totals = [sum(row) for row in target]
     # twin[t]: the nearest lower thief with t's target row, or -1
-    twin = [next((s for s in range(t - 1, -1, -1) if target[s] == target[t]), -1)
-            for t in range(q)]
-    # orders[p]: the thieves to try after a bead held by p, keeping p
-    # first; orders[q] serves the first bead, which has no holder before it
-    orders = [[p, *(t for t in range(q) if t != p)] for p in range(q)]
-    orders.append(list(range(q)))
+    twin: list[int] = []
+    latest: dict[tuple[int, ...], int] = {}
+    for t, row in enumerate(map(tuple, target)):
+        twin.append(latest.get(row, -1))
+        latest[row] = t
     nodes = 0
 
     for limit in range(min_cuts, max_cuts + 1):
@@ -240,8 +239,9 @@ def _first_owner(
         # keeps cuts + owing - 1 <= limit, so only switches are checked
         if owing - 1 > limit:
             continue
-        # held[d] holds the thief of bead d-1; held[0] is the sentinel q
-        held = [q] * (n + 1)
+        # held[d] holds the thief of bead d-1; held[0] is the sentinel 0,
+        # so the first bead tries the thieves in ascending order
+        held = [0] * (n + 1)
         tried = [0] * (n + 1)
         cuts = d = 0
         while True:
@@ -265,8 +265,10 @@ def _first_owner(
                     cuts -= 1
                 continue
             tried[d] = k + 1
+            # the k-th thief to try after a bead held by prev: prev first,
+            # then the others ascending
             prev = held[d]
-            t = orders[prev][k]
+            t = k - (k <= prev) if k else prev
             switch = d > 0 and t != prev
             if switch and cuts + owing > limit:
                 tried[d] = q

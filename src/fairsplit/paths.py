@@ -333,8 +333,7 @@ def _qstable_search(
         if not sizes[c]:
             closes[d] = True
         sizes[c] += 1
-    if min(sizes[1:]) < q - 1:
-        raise PreconditionError(f"every color needs at least q-1={q - 1} vertices")
+    _require_q_minus_1(sizes[1:], q)
     # per value (0 = discard, then the classes): the distance it needs
     # from its previous vertex, its size cap and, per color, the bounds
     # on its count.  Discards need no distance or size cap and number

@@ -17,11 +17,13 @@ b-factor with b(bead) = 1 and b(t) = alpha_tj + [t in A_j]:
 ``split_with_advantages`` chains these stages; it realizes any
 advantage assignment whose remainders all lie in {0, 1, q-1}.  It runs
 on one integer core: one allocation in units of 1/d (d = q for the
-search's own split), cycles cancelled in place, and per color integer
-sharing graphs (``_IntGraph``) checked and rounded.  The Fraction-facing
-functions (``cancel_cycles``, ``build_flow_graph``, ``flow_equalities_ok``,
-``round_color_*``) are adapters that scale to integers and call the
-same rule code.
+search's own split), cycles cancelled in place, and per color an integer
+sharing graph (``_IntGraph``) that one routine, ``_round_color``, checks
+and rounds whatever its remainder.  The Fraction-facing functions
+(``cancel_cycles``, ``build_flow_graph``, ``flow_equalities_ok``) are
+adapters that scale to integers and call the same rule code;
+``round_color_r0/r1/rq1`` check their remainder and thief, then call
+``_round_color``.
 The q=4 scenario with r_j = 2 where this rounding provably cannot
 help is packaged as ``demonstrate_r2_failure``.
 """
@@ -33,7 +35,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Container, Mapping
+from typing import Container, Mapping
 
 from .errors import NODE_BUDGET, InternalInvariantError, PreconditionError
 from .matching import BipartiteGraph, find_b_factor
@@ -361,22 +363,14 @@ def _cancel(
     return by_color, runs
 
 
-def _round_forest(
-    g: _IntGraph,
-    r: int,
-    advantaged: Container[int],
-    check: Callable[[], None] = lambda: None,
-) -> dict[int, int]:
+def _round_color(g: _IntGraph, advantaged: Container[int]) -> dict[int, int]:
     """Bead -> thief by the b-factor b(t) = alpha_t + [t advantaged],
-    b(bead) = 1, once g passes the shared checks and the case's ``check``.
+    b(bead) = 1, once g passes the flow equalities, the forest check and
+    the shape rule of its remainder case g.r.
 
     It is unique: two different b-factors of a forest would differ on a
     nonempty edge set with every degree even, and so on a cycle.
     """
-    if g.r != r:
-        raise PreconditionError(
-            f"this rounding handles r={r}, got r={g.r} for color {g.color}"
-        )
     if not _flow_ok(g):
         raise PreconditionError(
             f"color {g.color}: edge amounts do not satisfy the flow equalities"
@@ -385,13 +379,26 @@ def _round_forest(
         raise PreconditionError(
             f"color {g.color}: sharing graph has a cycle; cancel cycles first"
         )
-    check()
-    thieves = tuple(range(1, g.q + 1))
+    thieves = range(1, g.q + 1)
+    if g.r == 1:
+        total_alpha = sum(g.alpha.get(t, 0) for t in thieves)
+        if len(g.split_beads) != total_alpha + 1:
+            raise PreconditionError(
+                f"color {g.color}: expected |B_j| = sum(alpha)+1 = {total_alpha + 1}, "
+                f"got {len(g.split_beads)}"
+            )
+    elif g.r == g.q - 1:
+        # acyclicity plus the flow equalities force this shape
+        if len(g.split_beads) != g.q - 1 or any(g.alpha.get(t, 0) for t in thieves):
+            raise InternalInvariantError(
+                f"color {g.color}: acyclic r=q-1 graph must have q-1 split beads "
+                "and zero alpha"
+            )
     b_left = {t: g.alpha.get(t, 0) + (t in advantaged) for t in thieves}
     if not g.edges and not g.split_beads and not any(b_left.values()):
         return {}  # no demand anywhere: the empty edge set is the factor
     result = find_b_factor(
-        BipartiteGraph(left=thieves, right=g.split_beads, edges=g.edges.keys()),
+        BipartiteGraph(left=tuple(thieves), right=g.split_beads, edges=g.edges.keys()),
         b_left=b_left,
         b_right=dict.fromkeys(g.split_beads, 1),
     )
@@ -404,50 +411,33 @@ def _round_forest(
     return {k: t for t, k in result.factor}
 
 
+def _checked(
+    g: ColorFlowGraph, r: int, thief: int | None = None, who: str = "thief"
+) -> _IntGraph:
+    """g in integer units, once its remainder is r and ``thief`` lies in 1..q."""
+    if g.r != r:
+        raise PreconditionError(
+            f"this rounding handles r={r}, got r={g.r} for color {g.color}"
+        )
+    if thief is not None and not 1 <= thief <= g.q:
+        raise PreconditionError(f"{who} {thief} not in 1..{g.q}")
+    return _scaled(g)
+
+
 def round_color_r0(g: ColorFlowGraph) -> dict[int, int]:
     """Whole-bead assignment for a color with zero remainder."""
-    return _round_forest(_scaled(g), 0, ())
+    return _round_color(_checked(g, 0), ())
 
 
 def round_color_r1(g: ColorFlowGraph, chosen: int) -> dict[int, int]:
     """Whole-bead assignment handing the chosen thief one extra bead."""
-    return _round_r1(_scaled(g), chosen)
+    return _round_color(_checked(g, 1, chosen, "chosen thief"), (chosen,))
 
 
 def round_color_rq1(g: ColorFlowGraph, disadvantaged: int) -> dict[int, int]:
     """Whole-bead assignment leaving only the disadvantaged thief short."""
-    return _round_rq1(_scaled(g), disadvantaged)
-
-
-def _round_r1(g: _IntGraph, chosen: int) -> dict[int, int]:
-    def check() -> None:
-        if not 1 <= chosen <= g.q:
-            raise PreconditionError(f"chosen thief {chosen} not in 1..{g.q}")
-        total_alpha = sum(g.alpha.get(t, 0) for t in range(1, g.q + 1))
-        if len(g.split_beads) != total_alpha + 1:
-            raise PreconditionError(
-                f"color {g.color}: expected |B_j| = sum(alpha)+1 = {total_alpha + 1}, "
-                f"got {len(g.split_beads)}"
-            )
-
-    return _round_forest(g, 1, (chosen,), check)
-
-
-def _round_rq1(g: _IntGraph, disadvantaged: int) -> dict[int, int]:
-    def check() -> None:
-        if not 1 <= disadvantaged <= g.q:
-            raise PreconditionError(f"thief {disadvantaged} not in 1..{g.q}")
-        # acyclicity plus the flow equalities force this shape
-        if len(g.split_beads) != g.q - 1 or any(
-            g.alpha.get(t, 0) != 0 for t in range(1, g.q + 1)
-        ):
-            raise InternalInvariantError(
-                f"color {g.color}: acyclic r=q-1 graph must have q-1 split beads "
-                "and zero alpha"
-            )
-
     others = set(range(1, g.q + 1)) - {disadvantaged}
-    return _round_forest(g, g.q - 1, others, check)
+    return _round_color(_checked(g, g.q - 1, disadvantaged), others)
 
 
 def split_with_advantages(
@@ -491,17 +481,7 @@ def split_with_advantages(
     owner: dict[int, int] = {}
     for j, shares in enumerate(by_color, start=1):
         owner.update((k, t) for (t, k), amt in shares.items() if amt == d)
-        g = _color_graph(neck, j, d, shares)
-        rj = neck.r[j - 1]
-        if rj == 0:
-            assigned = _round_forest(g, 0, ())
-        elif rj == 1:
-            (chosen,) = adv[j]
-            assigned = _round_r1(g, chosen)
-        else:
-            (disadvantaged,) = set(range(1, q + 1)) - adv[j]
-            assigned = _round_rq1(g, disadvantaged)
-        owner.update(assigned)
+        owner.update(_round_color(_color_graph(neck, j, d, shares), adv.get(j, ())))
 
     if sorted(owner) != list(range(1, neck.n + 1)):
         raise InternalInvariantError("rounding left a bead unassigned")

@@ -366,8 +366,10 @@ def test_split_necklace(capsys):
 
 def test_split_necklace_failing_answer_exits_3(capsys, monkeypatch):
     # the CLI's certificate is the pipeline's own check: a wrong answer exits 3
-    original = rounding._round_r1
-    monkeypatch.setattr(rounding, "_round_r1", lambda g, chosen: original(g, chosen % g.q + 1))
+    original = rounding._round_color
+    monkeypatch.setattr(
+        rounding, "_round_color", lambda g, adv: original(g, {t % g.q + 1 for t in adv})
+    )
     code, out, err = run(capsys, "split-necklace", "--input", fixture("necklace_q3.json"))
     assert code == 3 and out is None
     assert "advantage color 1" in err
@@ -435,6 +437,19 @@ def test_split_necklace_more_sub_beads_than_budget_exits_5_quickly():
     code, _, err, elapsed = run_cli_capped(["split-necklace", "--input", "-"], inst)
     assert code == 5 and "candidates" in err and "Traceback" not in err, err
     assert elapsed < 2.0
+
+
+def test_split_necklace_q_in_the_thousands_fits_in_512_mb():
+    # the search must not build a table of q x q thieves
+    inst = json.dumps({
+        "kind": "necklace", "colors": [1], "q": 5000, "advantages": {"1": [1]},
+    })
+    code, out, err, _ = run_cli_capped(
+        ["split-necklace", "--input", "-"], inst, memory_mb=512
+    )
+    assert code == 0 and "Traceback" not in err, err
+    owner = json.loads(out)["owner"]
+    assert verify_discrete(Necklace((1,), 5000), {1: [1]}, DiscreteSplitting(owner)) == []
 
 
 def test_split_necklace_budget_exit_5(capsys):

@@ -389,6 +389,96 @@ def test_round_rq1_goldens():
     assert round_color_rq1(g, disadvantaged=1) == {2: 2, 4: 3}
 
 
+def r1_path_graph():
+    """The r=1, q=3 forest of ``test_build_flow_graph_golden``."""
+    neck = Necklace((1, 1, 1, 1), 3)
+    return build_flow_graph(search_continuous(neck), neck, 1)
+
+
+def rq1_path_graph():
+    """The r=q-1=2, q=3 forest of ``test_round_rq1_goldens``."""
+    neck = Necklace((1, 1, 1, 1, 1), 3)
+    return build_flow_graph(search_continuous(neck), neck, 1)
+
+
+def empty_graph(q, r):
+    return ColorFlowGraph(color=1, q=q, r=r, split_beads=(), edges={}, alpha={})
+
+
+def tampered(g):
+    """g with its first edge amount raised by 1/7."""
+    e = min(g.edges)
+    return replace(g, edges={**g.edges, e: g.edges[e] + F(1, 7)})
+
+
+def q2_four_cycle_graph():
+    """An r=1, q=2 sharing graph with the flow equalities and a 4-cycle."""
+    return ColorFlowGraph(
+        color=1, q=2, r=1, split_beads=(1, 2),
+        edges={(1, 1): F(1, 4), (2, 1): F(3, 4), (1, 2): F(1, 4), (2, 2): F(3, 4)},
+        alpha={1: 0, 2: 1},
+    )
+
+
+FLOW = "color 1: edge amounts do not satisfy the flow equalities"
+CYCLE = "color 1: sharing graph has a cycle; cancel cycles first"
+SIZE_R1 = "color 1: expected |B_j| = sum(alpha)+1 = 1, got 0"
+SHAPE_RQ1 = "color 1: acyclic r=q-1 graph must have q-1 split beads and zero alpha"
+
+
+@pytest.mark.parametrize("rounder, graph, thief, error, message", [
+    # the wrong remainder for each rounder
+    (round_color_r0, r1_path_graph, None, PreconditionError,
+     "this rounding handles r=0, got r=1 for color 1"),
+    (round_color_r1, lambda: empty_graph(2, 0), 1, PreconditionError,
+     "this rounding handles r=1, got r=0 for color 1"),
+    (round_color_rq1, r1_path_graph, 1, PreconditionError,
+     "this rounding handles r=2, got r=1 for color 1"),
+    # a thief outside 1..q
+    (round_color_r1, r1_path_graph, 0, PreconditionError, "chosen thief 0 not in 1..3"),
+    (round_color_r1, r1_path_graph, 4, PreconditionError, "chosen thief 4 not in 1..3"),
+    (round_color_rq1, rq1_path_graph, 0, PreconditionError, "thief 0 not in 1..3"),
+    (round_color_rq1, rq1_path_graph, 4, PreconditionError, "thief 4 not in 1..3"),
+    # a tampered flow
+    (round_color_r0, lambda: tampered(four_cycle_graph()), None, PreconditionError, FLOW),
+    (round_color_r1, lambda: tampered(r1_path_graph()), 1, PreconditionError, FLOW),
+    (round_color_rq1, lambda: tampered(rq1_path_graph()), 1, PreconditionError, FLOW),
+    # a 4-cycle
+    (round_color_r0, four_cycle_graph, None, PreconditionError, CYCLE),
+    (round_color_r1, q2_four_cycle_graph, 1, PreconditionError, CYCLE),
+    (round_color_rq1, q2_four_cycle_graph, 1, PreconditionError, CYCLE),
+    # a forest of the wrong shape; at q=2 the r=1 rule serves r=q-1 too
+    (round_color_r1, lambda: empty_graph(3, 1), 1, PreconditionError, SIZE_R1),
+    (round_color_rq1, lambda: empty_graph(3, 2), 1, InternalInvariantError, SHAPE_RQ1),
+    (round_color_rq1, lambda: empty_graph(2, 1), 1, PreconditionError, SIZE_R1),
+], ids=[
+    "r0-r", "r1-r", "rq1-r", "r1-thief0", "r1-thief4", "rq1-thief0", "rq1-thief4",
+    "r0-flow", "r1-flow", "rq1-flow", "r0-cycle", "r1-cycle", "rq1-cycle",
+    "r1-shape", "rq1-shape", "rq1-shape-q2",
+])
+def test_rounders_report_each_single_fault(rounder, graph, thief, error, message):
+    args = (graph(),) if thief is None else (graph(), thief)
+    with pytest.raises(error) as caught:
+        rounder(*args)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_r1_and_rq1_agree_at_q2():
+    # at q=2, r=1 is also q-1: the chosen thief is the one not left short
+    cases = 0
+    for n in range(1, 7):
+        for colors in canonical_colorings(n, 3):
+            neck = Necklace(colors, 2)
+            cont = cancel_cycles(search_continuous(neck), neck)
+            for j in range(1, neck.m + 1):
+                g = build_flow_graph(cont, neck, j)
+                if g.r == 1:
+                    for t in (1, 2):
+                        assert round_color_r1(g, t) == round_color_rq1(g, 3 - t), (colors, j)
+                        cases += 1
+    assert cases > 100
+
+
 # === full pipeline ===
 
 def test_pipeline_goldens():
@@ -412,10 +502,21 @@ def test_pipeline_accepts_precomputed_continuous():
 
 def test_pipeline_raises_on_a_bad_split(monkeypatch):
     # hand color 1's extra bead to the thief after the chosen one
-    original = rounding._round_r1
-    monkeypatch.setattr(rounding, "_round_r1", lambda g, chosen: original(g, chosen % g.q + 1))
+    original = rounding._round_color
+    monkeypatch.setattr(
+        rounding, "_round_color", lambda g, adv: original(g, {t % g.q + 1 for t in adv})
+    )
     with pytest.raises(InternalInvariantError, match="advantage color 1"):
         split_with_advantages(Necklace((1, 1, 1, 1), 3), {1: [3]})
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True)
+def test_pipeline_on_a_600_bead_sharing_path():
+    # cycle cancellation searches each sharing graph with a recursive DFS,
+    # one frame per vertex of the path; 400 beads still fit
+    n = 600
+    split = split_with_advantages(Necklace((1,) * n, n + 1), {1: range(1, n + 1)})
+    assert split.cuts == n - 1
 
 
 def test_pipeline_rejects_unfair_continuous():
