@@ -149,8 +149,18 @@ def cmd_tucker_check(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _random_coloring(rng: random.Random, max_n: int, max_m: int) -> tuple[int, ...]:
+def _random_coloring(
+    rng: random.Random, max_n: int, max_m: int, budget: int | None = None
+) -> tuple[int, ...]:
     n = rng.randint(1, max_n)
+    # a search reaches a split of n vertices only through n + 1 nodes, so
+    # a path this long stops before its colors are drawn
+    if budget is not None and n >= budget:
+        raise BudgetExceededError(
+            f"a sampled path of {n} vertices needs more than the budget of "
+            f"{budget} search nodes; this bounds effort, it does not mean no "
+            "split exists"
+        )
     # randrange(k) + 1 draws from the stream of randint(1, k), with less overhead
     raw = [rng.randrange(max_m) + 1 for _ in range(n)]
     relabel: dict[int, int] = {}
@@ -174,9 +184,13 @@ def cmd_conjecture_scan(args: argparse.Namespace) -> dict[str, Any]:
     # are blind to the names of the colors
     if args.samples is not None:
         rng = random.Random(args.seed)
-        paths = [(_random_coloring(rng, max_n, max_m), 1) for _ in range(args.samples)]
-        batches = [(f"sample batch {i // 250 + 1}", paths[i : i + 250])
-                   for i in range(0, len(paths), 250)]
+        # each sample is drawn when the scan reaches it
+        batches = (
+            (f"sample batch {i // 250 + 1}",
+             ((_random_coloring(rng, max_n, max_m, args.budget), 1)
+              for _ in range(min(250, args.samples - i))))
+            for i in range(0, args.samples, 250)
+        )
         mode = "random"
     else:
         batches = (
@@ -190,8 +204,12 @@ def cmd_conjecture_scan(args: argparse.Namespace) -> dict[str, Any]:
     missing: list[tuple[int, ...]] = []
     for label, batch in batches:
         for colors, weight in batch:
-            # removing q-1 vertices per color needs that many to exist
-            if min(map(colors.count, range(1, max(colors) + 1))) < q - 1:
+            # removing q-1 vertices per color needs that many to exist;
+            # one counting pass, as a sampled path may hold many colors
+            sizes = [0] * (max(colors) + 1)
+            for c in colors:
+                sizes[c] += 1
+            if min(sizes[1:]) < q - 1:
                 skipped += weight
                 continue
             scanned += weight

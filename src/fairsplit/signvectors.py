@@ -26,12 +26,15 @@ path splittings:
   that every call runs over long inner runs.
 
 Vectors are stored as the two index sets (x+, x-), which turns
-``precedes`` into two subset tests.  Enumerative sweeps run over base-3
-code tables built with numpy, for n <= T_ENUMERATION_CAP; the scalar
+``precedes`` into two subset tests.  Enumerative sweeps run over the
+code tensor of shape (3,)*n, for n <= T_ENUMERATION_CAP: axis n-i holds
+vertex i's base-3 digit, and every table lives on that tensor, with
+each vertex's entry a broadcast view on its own axis.  The scalar
 functions and the vectorized tables are kept in lockstep by the test
-suite.  ``lambda_table`` and ``compute_t`` read J(x) from one cached
-verdict table per class size, broadcast over the code tensor of shape
-(3,)*n, in O(m 3^n) for m classes.
+suite.  ``lambda_table`` and ``compute_t`` read alt and the first sign
+from one cached pass over the vertices, and J(x) from one cached
+verdict table per class size, broadcast over the tensor, in O(m 3^n)
+for m classes.
 """
 
 from __future__ import annotations
@@ -258,47 +261,46 @@ def vector_from_code(code: int, n: int) -> SignVector:
 # vectorized tables, cached per n
 
 
-@lru_cache(maxsize=None)
-def _entry_table(n: int) -> np.ndarray:
-    """(n, 3^n) array; row i-1 holds entry i (0, +1 or -1) of every code.
+_SIGNS = np.array([0, 1, -1], dtype=np.int8)
 
-    Base-3 digit 0/1/2 of a code encodes entry 0/+/-.
+
+def _on_axes(table: np.ndarray, n: int, vertices: Sequence[int]) -> np.ndarray:
+    """A view of ``table`` over the code tensor of shape (3,)*n.
+
+    Axis n-i of the tensor holds vertex i's digit.  The view is 3 long on
+    the given vertices' axes and 1 elsewhere, so it broadcasts over the
+    rest: ``_on_axes(_SIGNS, n, (i,))`` is entry i of every code.
     """
-    codes = np.arange(3**n, dtype=np.int64)
-    entries = np.empty((n, 3**n), dtype=np.int8)
-    for i in range(n):
-        digit = codes // 3**i % 3
-        entries[i] = np.where(digit == 2, -1, digit)
-    return entries
+    shape = [1] * n
+    for i in vertices:
+        shape[n - i] = 3
+    return table.reshape(shape)
 
 
 @lru_cache(maxsize=None)
-def _alt_table(n: int) -> np.ndarray:
-    runs = np.zeros(3**n, dtype=np.int16)
-    last = np.zeros(3**n, dtype=np.int8)
-    for col in _entry_table(n):
-        nz = col != 0
-        runs += nz & (col != last)
-        last = np.where(nz, col, last)
-    return runs
+def _runs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """alt (int16) and first sign * alt (int32) of every code.
 
-
-@lru_cache(maxsize=None)
-def _first_sign_table(n: int) -> np.ndarray:
-    """Sign (+1/-1, 0 only for the zero vector) of the first nonzero entry."""
-    first = np.zeros(3**n, dtype=np.int8)
-    for col in _entry_table(n):
-        first = np.where(first == 0, col, first)
-    return first
+    One pass over the vertices from n down to 1: the runs read backwards
+    are the same runs, and the last nonzero entry seen is the first sign.
+    The signed table is the label of every code with J(x) empty.
+    """
+    runs = np.zeros((3,) * n, dtype=np.int16)
+    last = np.zeros((3,) * n, dtype=np.int8)
+    for i in range(n, 0, -1):
+        entry = _on_axes(_SIGNS, n, (i,))
+        nz = entry != 0
+        runs += nz & (entry != last)
+        np.copyto(last, entry, where=nz)
+    runs = runs.reshape(-1)
+    return runs, last.reshape(-1).astype(np.int32) * runs
 
 
 @lru_cache(maxsize=None)
 def _negation_table(n: int) -> np.ndarray:
     """neg[code] = code of the entrywise negation (digits 1 and 2 swapped)."""
-    neg = np.zeros(3**n, dtype=np.int64)
-    for i, col in enumerate(_entry_table(n)):
-        neg += np.int64(3**i) * (-col % 3)
-    return neg
+    codes = np.arange(3**n, dtype=np.int64).reshape((3,) * n)
+    return codes[np.ix_(*[(0, 2, 1)] * n)].reshape(-1)
 
 
 @lru_cache(maxsize=None)
@@ -311,13 +313,14 @@ def _class_verdict(v: int) -> np.ndarray:
     code's digits are the class's entries in vertex order, least
     significant first.
     """
-    entries = _entry_table(v)
-    p = (entries > 0).sum(axis=0)
-    mn = (entries < 0).sum(axis=0)
-    # balanced codes have p = mn = v/2 >= 1, so the first sign is +-1 there
+    entries = [_on_axes(_SIGNS, v, (i,)) for i in range(1, v + 1)]
+    p = sum(e > 0 for e in entries).reshape(-1)
+    mn = sum(e < 0 for e in entries).reshape(-1)
+    # balanced codes have p = mn = v/2 >= 1, so alt >= 1 and the signed
+    # alt carries the first sign there
     balanced = (2 * p == v) & (2 * mn == v)
     verdict = np.where(2 * p > v, 1, np.where(2 * mn > v, -1, 0)).astype(np.int8)
-    verdict[balanced] = _first_sign_table(v)[balanced]
+    verdict[balanced] = np.sign(_runs(v)[1][balanced])
     return verdict
 
 
@@ -329,37 +332,28 @@ def _class_key(v: int, j: int) -> np.ndarray:
     return np.where(verdict != 0, 2 * j + (verdict < 0), 0).astype(np.int8)
 
 
-@lru_cache(maxsize=None)
-def _signed_alt_table(n: int) -> np.ndarray:
-    """first sign * alt as int32: the label of every code with J(x) empty."""
-    return _first_sign_table(n).astype(np.int32) * _alt_table(n)
-
-
 def _saturation(classes: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     """j' = max J(x) (0 where J(x) is empty) and the sign of x's label
     +-(t + j'), for all 3^n codes.
 
     The codes are viewed as a tensor of shape (3,)*n, where axis n-i
     holds vertex i's digit.  Color j's key (``_class_key``) depends only
-    on its class's digits, so it is reshaped to 3 on the class's axes
-    and 1 elsewhere and broadcast: ascending axes are descending
+    on its class's digits, so it is viewed on the class's axes
+    (``_on_axes``) and broadcast: ascending axes are descending
     vertices, the key table's own digit order, so no transpose is
     needed.  The key grows with j, so one running maximum, a broadcast
     pass per class, leaves 2j' + (sign < 0) at every code: O(m 3^n).
     """
     key = np.zeros((3,) * n, dtype=np.int8)
     for j, cls in enumerate(classes, start=1):
-        shape = [1] * n
-        for i in cls:
-            shape[n - i] = 3
-        np.maximum(key, _class_key(len(cls), j).reshape(shape), out=key)
+        np.maximum(key, _on_axes(_class_key(len(cls), j), n, cls), out=key)
     key = key.reshape(-1)
     return (key >> 1).astype(np.int32), (key > 0).view(np.int8) - 2 * (key & 1)
 
 
 def _t_of(jprime: np.ndarray, n: int) -> int:
     """t = max alt(x) over the codes with J(x) empty, where j' is 0."""
-    return int(_alt_table(n)[jprime == 0].max())
+    return int(_runs(n)[0][jprime == 0].max())
 
 
 def _check_cap(name: str, n: int) -> None:
@@ -382,7 +376,7 @@ def lambda_table(classes: Partition) -> tuple[np.ndarray, int]:
     _check_cap("lambda_table", n)
     jprime, sign = _saturation(classes, n)
     t = _t_of(jprime, n)
-    labels = _signed_alt_table(n).copy()
+    labels = _runs(n)[1].copy()
     np.copyto(labels, sign * (t + jprime), where=jprime > 0)
     labels[0] = 0
     return labels, t

@@ -648,6 +648,30 @@ def test_random_coloring_matches_randint_draws():
             ], (seed, max_n, max_m)
 
 
+def test_conjecture_scan_sample_longer_than_budget_exits_5_quickly():
+    # a path of n vertices needs n + 1 search nodes, so the scan stops
+    # after drawing n and before drawing up to 10^9 colors
+    code, _, err, elapsed = run_cli_capped(
+        ["conjecture-scan", "--q", "3", "--samples", "1", "--max-n", str(10**9)],
+        timeout=20.0,
+    )
+    assert code == 5 and "budget" in err and "Traceback" not in err, err
+    assert elapsed < 5.0
+
+
+def test_conjecture_scan_sample_with_many_colors_is_counted_in_one_pass():
+    # seed 0 draws a path of about 10^5 vertices and as many colors;
+    # the q-1 skip must not count each color in its own pass
+    code, out, err, elapsed = run_cli_capped(
+        ["conjecture-scan", "--q", "3", "--samples", "1", "--max-n", "200000",
+         "--max-m", "200000", "--seed", "0"],
+        timeout=20.0,
+    )
+    assert code == 0 and "Traceback" not in err, err
+    assert json.loads(out)["skipped"] == 1
+    assert elapsed < 5.0
+
+
 def test_conjecture_scan_budget_exit_5(capsys):
     code, _, err = run(
         capsys,

@@ -18,9 +18,8 @@ from fairsplit.errors import InstanceTooLargeError
 from fairsplit.signvectors import (
     T_ENUMERATION_CAP,
     SignVector,
-    _alt_table,
-    _entry_table,
-    _first_sign_table,
+    _negation_table,
+    _runs,
     _saturation,
     _zeta_up,
     alt,
@@ -71,13 +70,36 @@ def t_oracle(classes) -> int:
     return best
 
 
+def entry_table(n):
+    """(n, 3^n) array: row i-1 holds entry i (0, +1 or -1) of every code.
+
+    Read off each code's base-3 digits, a layout of the oracles' own
+    rather than the library's code tensor; n = 0 gives no rows.
+    """
+    digits = np.arange(3**n) // 3 ** np.arange(n)[:, None] % 3
+    return np.where(digits == 2, -1, digits).astype(np.int8)
+
+
+def alt_and_first_sign(n):
+    """alt and the first nonzero entry's sign of every code, one column at a time."""
+    runs = np.zeros(3**n, dtype=np.int32)
+    last = np.zeros(3**n, dtype=np.int8)
+    first = np.zeros(3**n, dtype=np.int8)
+    for col in entry_table(n):
+        nz = col != 0
+        runs += nz & (col != last)
+        last = np.where(nz, col, last)
+        first = np.where(first == 0, col, first)
+    return runs, first
+
+
 def saturation_oracle(classes, n):
     """(j', sign) for all 3^n codes, one vectorized pass per class column.
 
     Each class accumulates its + and - counts and the sign of its first
     nonzero entry, and a later saturated color overrides an earlier one.
     """
-    entries = _entry_table(n)
+    entries = entry_table(n)
     jprime = np.zeros(3**n, dtype=np.int32)
     sign = np.zeros(3**n, dtype=np.int8)
     for j, cls in enumerate(classes, start=1):
@@ -101,13 +123,9 @@ def saturation_oracle(classes, n):
 def labels_from_saturation(jprime, sign, n):
     """(labels, t) from the output of ``saturation_oracle``, as ``lambda_table`` gives them."""
     has_j = jprime > 0
-    alt_t = _alt_table(n).astype(np.int32)
+    alt_t, first = alt_and_first_sign(n)
     t = int(alt_t[~has_j].max())
-    labels = np.where(
-        has_j,
-        sign * (t + jprime),
-        _first_sign_table(n).astype(np.int32) * alt_t,
-    )
+    labels = np.where(has_j, sign * (t + jprime), first.astype(np.int32) * alt_t)
     labels[0] = 0
     return labels.astype(np.int32), t
 
@@ -148,6 +166,25 @@ def test_alt_bounded_by_support_with_equality_iff_alternating():
         assert alt(x) <= len(nonzero)
         strictly_alternating = all(a != b for a, b in zip(nonzero, nonzero[1:]))
         assert (alt(x) == len(nonzero)) == strictly_alternating
+
+
+def test_runs_match_scalar_alt_and_first_sign_up_to_n6():
+    for n in range(7):
+        runs, signed = _runs(n)
+        assert runs.dtype == np.int16 and signed.dtype == np.int32
+        assert runs.shape == signed.shape == (3**n,)
+        for code in range(3**n):
+            x = vector_from_code(code, n)
+            assert runs[code] == alt(x), str(x)
+            assert signed[code] == x.first_sign() * alt(x), str(x)
+
+
+def test_negation_table_negates_every_code_up_to_n6():
+    for n in range(7):
+        neg = _negation_table(n)
+        assert neg.dtype == np.int64 and neg.shape == (3**n,)
+        for code in range(3**n):
+            assert neg[code] == vector_code(-vector_from_code(code, n)), (n, code)
 
 
 # === precedes ===
