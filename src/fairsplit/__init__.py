@@ -7,10 +7,13 @@ Two families of results, both constructive and machine-verified:
   color is removed, certified through an octahedral Tucker labeling;
 * fair division of a colored necklace among q thieves with the
   advantaged thief of every color chosen in advance, obtained by
-  rounding a continuous fair splitting along a cycle-free flow graph.
+  rounding a continuous fair splitting: cycles are cancelled in each
+  color's thief/bead sharing graph, and the forests left are rounded by
+  peeling their leaves.
 
-Everything is exact: rational arithmetic end to end, exhaustive
-verifiers for every certificate, and brute-force oracles at desk scale.
+Everything is exact: the necklace pipeline runs on integers in units
+of 1/d, with exhaustive verifiers for every certificate and brute-force
+oracles at desk scale.
 """
 
 from .errors import (
@@ -38,13 +41,6 @@ from .jsonio import (
     pair_split_to_json,
     stable_split_from_json,
     stable_split_to_json,
-)
-from .matching import (
-    BFactorResult,
-    BipartiteGraph,
-    find_b_factor,
-    verify_b_factor,
-    witness_slack,
 )
 from .necklace import (
     ContinuousSplitting,
@@ -105,8 +101,6 @@ from .signvectors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFactorResult",
-    "BipartiteGraph",
     "BudgetExceededError",
     "ColorFlowGraph",
     "ColoredPath",
@@ -141,7 +135,6 @@ __all__ = [
     "discrete_splitting_to_json",
     "enumerate_qstable_splits",
     "enumerate_sign_vectors",
-    "find_b_factor",
     "floor_ceil_identities",
     "flow_equalities_ok",
     "fraction_from_json",
@@ -172,11 +165,9 @@ __all__ = [
     "stable_split_from_json",
     "stable_split_to_json",
     "tucker_verify",
-    "verify_b_factor",
     "verify_continuous",
     "verify_cycle_split",
     "verify_discrete",
     "verify_pair_split",
     "verify_qstable_split",
-    "witness_slack",
 ]

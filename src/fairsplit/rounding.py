@@ -7,7 +7,11 @@ nonnegative integer alpha_tj, and every shared bead's amounts sum
 to 1.  After cancelling cycles in these graphs (a flow operation
 that only moves cuts, never adds any), each graph is a forest and
 the fractional assignment can be rounded to whole beads by the
-b-factor with b(bead) = 1 and b(t) = alpha_tj + [t in A_j]:
+b-factor with b(bead) = 1 and b(t) = alpha_tj + [t in A_j].  On a
+forest no flow is needed: a leaf's one edge is in the factor exactly
+when the leaf's demand is 1, so peeling leaves (``find_b_factor``)
+decides every edge in one linear pass, and a peel that stops with
+edges left has found a cycle (``is_forest``).
 
 * r_j = 0: A_j is empty, so every thief keeps exactly a_j/q beads.
 * r_j = 1: A_j is the chosen thief, who gets the ceiling.
@@ -19,9 +23,9 @@ advantage assignment whose remainders all lie in {0, 1, q-1}.  It runs
 on one integer core: one allocation in units of 1/d (d = q for the
 search's own split), cycles cancelled in place, and per color an integer
 sharing graph (``_IntGraph``) that one routine, ``_round_color``, checks
-and rounds whatever its remainder.  The Fraction-facing functions
-(``cancel_cycles``, ``build_flow_graph``, ``flow_equalities_ok``) are
-adapters that scale to integers and call the same rule code;
+and rounds with one peel whatever its remainder.  The Fraction-facing
+functions (``cancel_cycles``, ``build_flow_graph``, ``flow_equalities_ok``)
+are adapters that scale to integers and call the same rule code;
 ``round_color_r0/r1/rq1`` check their remainder and thief, then call
 ``_round_color``.
 The q=4 scenario with r_j = 2 where this rounding provably cannot
@@ -35,10 +39,9 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import NODE_BUDGET, InternalInvariantError, PreconditionError
-from .matching import BipartiteGraph, find_b_factor
 from .necklace import (
     AdvantageSpec,
     ContinuousSplitting,
@@ -120,22 +123,55 @@ def _flow_ok(g: _IntGraph) -> bool:
     return True
 
 
+def find_b_factor(
+    edges: Iterable[tuple[int, int]],
+    alpha: Mapping[int, int],
+    advantaged: Collection[int],
+) -> tuple[dict[int, int], bool, tuple[str, int] | None]:
+    """The b-factor with b(t) = alpha_t + [t advantaged] and b(bead) = 1 of
+    a thief/bead graph given by its (thief, bead) edges, by peeling leaves.
+
+    A leaf's one edge is in the factor exactly when the leaf's demand is
+    1, so on a forest the peel decides every edge.  Returns the factor as
+    bead -> thief; whether edges were left once no leaf was, which happens
+    exactly on a cycle; and the first vertex, ("thief", t) or ("bead", k),
+    whose demand the peel could not meet, or None.  A thief without edges
+    is taken to have alpha 0.  Linear in the edges plus the advantaged.
+    """
+    ends: dict[tuple[str, int], set[tuple[int, int]]] = {}
+    for t, k in edges:
+        ends.setdefault(("thief", t), set()).add((t, k))
+        ends.setdefault(("bead", k), set()).add((t, k))
+    need = {
+        v: alpha.get(v[1], 0) + (v[1] in advantaged) if v[0] == "thief" else 1
+        for v in ends
+    }
+    stuck = [("thief", t) for t in advantaged if ("thief", t) not in ends]
+    leaves = [v for v, es in ends.items() if len(es) == 1]
+    owner: dict[int, int] = {}
+    while leaves:
+        v = leaves.pop()
+        if not ends[v]:
+            continue  # its last edge went with its neighbor's peel
+        t, k = edge = ends[v].pop()
+        u = ("bead", k) if v[0] == "thief" else ("thief", t)
+        ends[u].remove(edge)
+        if need[v] == 1:
+            owner[k] = t
+            need[u] -= 1
+        elif need[v]:
+            stuck.append(v)
+        need[v] = 0
+        if len(ends[u]) == 1:
+            leaves.append(u)
+        elif not ends[u] and need[u]:
+            stuck.append(u)
+    return owner, any(ends.values()), stuck[0] if stuck else None
+
+
 def is_forest(g: ColorFlowGraph | _IntGraph) -> bool:
     """True when the sharing graph is acyclic."""
-    parent: dict[object, object] = {}
-
-    def find(x: object) -> object:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for t, k in g.edges:
-        a, b = find(("t", t)), find(("k", k))
-        if a == b:
-            return False
-        parent[a] = b
-    return True
+    return not find_b_factor(g.edges, {}, ())[1]
 
 
 def build_flow_graph(
@@ -363,10 +399,11 @@ def _cancel(
     return by_color, runs
 
 
-def _round_color(g: _IntGraph, advantaged: Container[int]) -> dict[int, int]:
+def _round_color(g: _IntGraph, advantaged: Collection[int]) -> dict[int, int]:
     """Bead -> thief by the b-factor b(t) = alpha_t + [t advantaged],
     b(bead) = 1, once g passes the flow equalities, the forest check and
-    the shape rule of its remainder case g.r.
+    the shape rule of its remainder case g.r.  One leaf peel
+    (``find_b_factor``) finds both the cycle and the factor.
 
     It is unique: two different b-factors of a forest would differ on a
     nonempty edge set with every degree even, and so on a cycle.
@@ -375,7 +412,8 @@ def _round_color(g: _IntGraph, advantaged: Container[int]) -> dict[int, int]:
         raise PreconditionError(
             f"color {g.color}: edge amounts do not satisfy the flow equalities"
         )
-    if not is_forest(g):
+    owner, cyclic, stuck = find_b_factor(g.edges, g.alpha, advantaged)
+    if cyclic:
         raise PreconditionError(
             f"color {g.color}: sharing graph has a cycle; cancel cycles first"
         )
@@ -394,21 +432,13 @@ def _round_color(g: _IntGraph, advantaged: Container[int]) -> dict[int, int]:
                 f"color {g.color}: acyclic r=q-1 graph must have q-1 split beads "
                 "and zero alpha"
             )
-    b_left = {t: g.alpha.get(t, 0) + (t in advantaged) for t in thieves}
-    if not g.edges and not g.split_beads and not any(b_left.values()):
-        return {}  # no demand anywhere: the empty edge set is the factor
-    result = find_b_factor(
-        BipartiteGraph(left=tuple(thieves), right=g.split_beads, edges=g.edges.keys()),
-        b_left=b_left,
-        b_right=dict.fromkeys(g.split_beads, 1),
-    )
-    if result.factor is None:
+    if stuck is not None:
         raise InternalInvariantError(
             f"no b-factor for color {g.color} with advantaged thieves "
-            f"{sorted(advantaged)}; witness "
-            f"{sorted(result.witness_left)} / {sorted(result.witness_right)}"
+            f"{sorted(advantaged)}: the demand of {stuck[0]} {stuck[1]} "
+            "cannot be met"
         )
-    return {k: t for t, k in result.factor}
+    return owner
 
 
 def _checked(

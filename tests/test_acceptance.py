@@ -10,7 +10,6 @@ import itertools
 import random
 import time
 
-from fairsplit.matching import BipartiteGraph, find_b_factor, verify_b_factor
 from fairsplit.necklace import (
     Necklace,
     remainders,
@@ -38,7 +37,13 @@ from fairsplit.rounding import (
     is_forest,
     split_with_advantages,
 )
-from helpers import canonical_colorings, iter_colorings
+from helpers import (
+    BipartiteGraph,
+    canonical_colorings,
+    find_b_factor,
+    iter_colorings,
+    verify_b_factor,
+)
 
 
 def _verdict(num, desc, failures):

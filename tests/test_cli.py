@@ -770,16 +770,59 @@ def test_conjecture_scan_long_one_color_paths(capsys):
     assert out["counterexamples"] == []
 
 
-def test_trace_patches_resolve():
-    # perfbench/tracing.py times each layer by patching these names, so a
-    # rename would break ``perfbench/run.py --trace 1``
+def load_tracing():
+    """``perfbench/tracing.py``, loaded by path: perfbench is no package."""
     tracing_py = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_py)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_patches_resolve():
+    # perfbench/tracing.py times each layer by patching these names, so a
+    # rename would break ``perfbench/run.py --trace 1``
+    tracing = load_tracing()
     missing = [
         (module, attr)
         for module, attr, _ in tracing.PATCHES
         if not hasattr(importlib.import_module(f"fairsplit.{module}"), attr)
     ]
     assert tracing.PATCHES and missing == []
+
+
+# per benchmark workload: fixture requests of its commands, and the traced
+# rows those requests must reach
+TRACED_ROWS = {
+    "necklace": (
+        [["split-necklace", "--input", fixture("necklace_q3.json")]],
+        ["rounding.split_with_advantages", "matching.find_b_factor", "jsonio.loads_instance"],
+    ),
+    "tucker": (
+        [["tucker-check", "--input", fixture("path_small.json")]],
+        ["signvectors.lambda_table", "signvectors.tucker_verify"],
+    ),
+    "paths": (
+        [["split-path", "--input", fixture("path_small.json")],
+         ["split-cycle", "--input", fixture("cycle_small.json")]],
+        ["paths.solve_pair_split", "paths.solve_cycle_split", "paths.verify", "jsonio.to_json"],
+    ),
+    "scan": (
+        [["split-stable", "--input", fixture("path_small.json"), "--q", "3"]],
+        ["paths.solve_qstable_bruteforce"],
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_ROWS))
+def test_traced_rows_see_their_layers(capsys, workload):
+    # a refactor that moves a layer's work off the patched name turns its
+    # benchmark row to 0; these rows must keep recording calls
+    tracer = load_tracing().Tracer()
+    argvs, rows = TRACED_ROWS[workload]
+    with tracer.patched():
+        for argv in argvs:
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+    called = {span[0] for span in tracer.spans}
+    assert [row for row in rows if row not in called] == []

@@ -12,7 +12,7 @@ from collections import deque
 
 import pytest
 
-from fairsplit.matching import (
+from helpers import (
     BFactorResult,
     BipartiteGraph,
     find_b_factor,

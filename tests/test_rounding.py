@@ -41,7 +41,12 @@ from fairsplit.rounding import (
     round_color_rq1,
     split_with_advantages,
 )
-from helpers import canonical_colorings, fraction_allocation_oracle
+from helpers import (
+    BipartiteGraph,
+    canonical_colorings,
+    fraction_allocation_oracle,
+    find_b_factor as flow_b_factor,
+)
 
 F = Fraction
 
@@ -461,6 +466,123 @@ def test_rounders_report_each_single_fault(rounder, graph, thief, error, message
     with pytest.raises(error) as caught:
         rounder(*args)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+# === the leaf peel ===
+
+def random_forest(rng, thieves, beads):
+    """(thief, bead) edges of a random bipartite forest: each vertex after
+    the first joins a random earlier vertex of the other side, or none."""
+    order = [("t", t) for t in range(1, thieves + 1)] + [("k", k) for k in range(1, beads + 1)]
+    rng.shuffle(order)
+    edges = []
+    for i, (side, v) in enumerate(order):
+        others = [u for s, u in order[:i] if s != side]
+        if others and rng.random() < 0.8:
+            u = rng.choice(others)
+            edges.append((v, u) if side == "t" else (u, v))
+    return edges
+
+
+def test_peel_matches_the_flow_oracle_on_random_forests():
+    # demands count a random choice of one sharer per bead, and one thief's
+    # count is then moved by one about half of the time, so many forests
+    # have no factor; thieves without edges keep alpha 0, as the flow
+    # equalities force, and want a bead only when advantaged
+    rng = random.Random(2311)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        q = rng.randint(1, 7)
+        edges = random_forest(rng, q, rng.randint(0, 7))
+        beads = tuple(sorted({k for _, k in edges}))
+        want = dict.fromkeys(range(1, q + 1), 0)
+        for k in beads:
+            want[rng.choice([t for t, kk in edges if kk == k])] += 1
+        if rng.random() < 0.5:
+            t = rng.randint(1, q)
+            want[t] = max(0, want[t] + rng.choice((-1, 1)))
+        used = {t for t, _ in edges}
+        advantaged = frozenset(
+            t for t, w in want.items() if w and (t not in used or rng.random() < 0.3)
+        )
+        alpha = {t: want[t] - (t in advantaged) for t in used}
+        oracle = flow_b_factor(
+            BipartiteGraph(left=tuple(range(1, q + 1)), right=beads, edges=edges),
+            want,
+            dict.fromkeys(beads, 1),
+        )
+        owner, cyclic, stuck = rounding.find_b_factor(edges, alpha, advantaged)
+        assert not cyclic
+        assert (stuck is None) == oracle.ok, (edges, alpha, advantaged)
+        if oracle.ok:
+            assert owner == {k: t for t, k in oracle.factor}, (edges, alpha, advantaged)
+        seen[oracle.ok] += 1
+    assert min(seen.values()) > 1000, seen
+
+
+def union_find_is_forest(edges):
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for t, k in edges:
+        a, b = find(("t", t)), find(("k", k))
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
+def test_is_forest_matches_union_find_on_random_graphs():
+    rng = random.Random(1123)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        thieves, beads = rng.randint(1, 5), rng.randint(1, 5)
+        p = rng.random() * 0.7
+        edges = [
+            (t, k) for t in range(1, thieves + 1) for k in range(1, beads + 1)
+            if rng.random() < p
+        ]
+        g = ColorFlowGraph(1, thieves, 0, (), dict.fromkeys(edges, F(1, 2)), {})
+        expected = union_find_is_forest(edges)
+        assert is_forest(g) == expected, edges
+        seen[expected] += 1
+    assert min(seen.values()) > 500, seen
+
+
+def test_unmet_demand_names_the_stuck_vertex():
+    # thief 1 is advantaged but shares no bead
+    with pytest.raises(InternalInvariantError) as caught:
+        rounding._round_color(rounding._scaled(empty_graph(2, 0)), (1,))
+    assert str(caught.value) == (
+        "no b-factor for color 1 with advantaged thieves [1]: "
+        "the demand of thief 1 cannot be met"
+    )
+    # two advantaged thieves on an r=1 path: the peel ends at thief 1
+    with pytest.raises(InternalInvariantError, match="demand of thief 1 cannot be met"):
+        rounding._round_color(rounding._scaled(r1_path_graph()), (1, 3))
+    # a bead that two of its three sharers want
+    edges = [(1, 1), (2, 1), (3, 1)]
+    assert rounding.find_b_factor(edges, {}, {2, 3}) == ({1: 2}, False, ("bead", 1))
+
+
+def test_rq1_on_the_fair_2000_bead_split():
+    # thief t owns [2000(t-1)/2001, 2000t/2001], so bead k is shared by
+    # thieves k and k+1 alone: one path of 4000 edges, each thief short
+    # of a whole bead, and its only factor hands every bead before the
+    # disadvantaged thief to its left sharer, every other to its right one
+    n = 2000
+    neck = Necklace((1,) * n, n + 1)
+    cont = ContinuousSplitting(
+        cuts=tuple(F(n * k, n + 1) for k in range(1, n + 1)), owners=range(1, n + 2)
+    )
+    g = build_flow_graph(cont, neck, 1)
+    assert len(g.edges) == 2 * n
+    for short in (1, 700, n + 1):
+        assert round_color_rq1(g, short) == {k: k + (k >= short) for k in range(1, n + 1)}
 
 
 def test_r1_and_rq1_agree_at_q2():
