@@ -9,9 +9,11 @@ that only moves cuts, never adds any), each graph is a forest and
 the fractional assignment can be rounded to whole beads by the
 b-factor with b(bead) = 1 and b(t) = alpha_tj + [t in A_j].  On a
 forest no flow is needed: a leaf's one edge is in the factor exactly
-when the leaf's demand is 1, so peeling leaves (``find_b_factor``)
-decides every edge in one linear pass, and a peel that stops with
-edges left has found a cycle (``is_forest``).
+when the leaf's demand is 1, so one linear peel (``_peel``, run by
+``find_b_factor``) decides every edge.  The peel is the module's one
+graph traversal: it leaves the 2-core, where every cycle lies
+(``is_forest``), and cancellation walks that core (``_find_cycle``),
+without recursion, to the cycle a sorted depth-first search closes first.
 
 * r_j = 0: A_j is empty, so every thief keeps exactly a_j/q beads.
 * r_j = 1: A_j is the chosen thief, who gets the ceiling.
@@ -123,20 +125,19 @@ def _flow_ok(g: _IntGraph) -> bool:
     return True
 
 
-def find_b_factor(
+def _peel(
     edges: Iterable[tuple[int, int]],
     alpha: Mapping[int, int],
     advantaged: Collection[int],
-) -> tuple[dict[int, int], bool, tuple[str, int] | None]:
-    """The b-factor with b(t) = alpha_t + [t advantaged] and b(bead) = 1 of
-    a thief/bead graph given by its (thief, bead) edges, by peeling leaves.
-
-    A leaf's one edge is in the factor exactly when the leaf's demand is
-    1, so on a forest the peel decides every edge.  Returns the factor as
-    bead -> thief; whether edges were left once no leaf was, which happens
-    exactly on a cycle; and the first vertex, ("thief", t) or ("bead", k),
-    whose demand the peel could not meet, or None.  A thief without edges
-    is taken to have alpha 0.  Linear in the edges plus the advantaged.
+) -> tuple[dict[int, int], list, dict[tuple[str, int], set], dict]:
+    """Peel leaves off the graph of the (thief, bead) ``edges``, demands
+    b(t) = alpha_t + [t advantaged] (alpha 0 for a thief without edges) and
+    b(bead) = 1, in time linear in the edges and the advantaged: a leaf's
+    one edge is in the b-factor exactly when the leaf's demand is 1.
+    Returns the factor found, bead -> thief; the vertices, ("thief", t) or
+    ("bead", k), whose demand was not met, in order; vertex -> its edges
+    left, which form the 2-core, where every cycle lies; and, for each
+    vertex a leaf was peeled into, the smallest of it and those subtrees.
     """
     ends: dict[tuple[str, int], set[tuple[int, int]]] = {}
     for t, k in edges:
@@ -148,6 +149,7 @@ def find_b_factor(
     }
     stuck = [("thief", t) for t in advantaged if ("thief", t) not in ends]
     leaves = [v for v, es in ends.items() if len(es) == 1]
+    low: dict[tuple[str, int], tuple[str, int]] = {}
     owner: dict[int, int] = {}
     while leaves:
         v = leaves.pop()
@@ -156,6 +158,7 @@ def find_b_factor(
         t, k = edge = ends[v].pop()
         u = ("bead", k) if v[0] == "thief" else ("thief", t)
         ends[u].remove(edge)
+        low[u] = min(low.get(u, u), low.get(v, v))
         if need[v] == 1:
             owner[k] = t
             need[u] -= 1
@@ -166,12 +169,50 @@ def find_b_factor(
             leaves.append(u)
         elif not ends[u] and need[u]:
             stuck.append(u)
-    return owner, any(ends.values()), stuck[0] if stuck else None
+    return owner, stuck, ends, low
+
+
+def find_b_factor(
+    edges: Iterable[tuple[int, int]],
+    alpha: Mapping[int, int],
+    advantaged: Collection[int],
+) -> tuple[dict[int, int], bool, tuple[str, int] | None]:
+    """The b-factor b(t) = alpha_t + [t advantaged], b(bead) = 1 of the graph
+    of the (thief, bead) ``edges`` by one ``_peel``, as bead -> thief; whether
+    a cycle kept edges from the peel; and the first unmet vertex, or None.
+    """
+    owner, stuck, left, _ = _peel(edges, alpha, advantaged)
+    return owner, any(left.values()), stuck[0] if stuck else None
+
+
+def _find_cycle(edges: Collection[tuple[int, int]]) -> list[tuple[str, int]] | None:
+    """One cycle of the thief/bead graph of ``edges`` as a closed,
+    alternating list of distinct vertices, or None on a forest.
+
+    Walks the 2-core that ``_peel`` leaves, each time along the smallest
+    edge it did not arrive by, until a vertex repeats; a core vertex keeps
+    two edges or more, so the walk never stalls.  It starts where the tree
+    of the smallest vertex of a cyclic component meets the core, so it
+    closes the cycle that a depth-first search over sorted vertices and
+    neighbors closes first.
+    """
+    if len(edges) < 4:  # a bipartite cycle has four edges or more
+        return None
+    _, _, left, low = _peel(edges, {}, ())
+    core = [v for v, es in left.items() if es]
+    if not core:
+        return None
+    v, came, walk = min(core, key=lambda v: low.get(v, v)), None, {}  # vertex -> step
+    while v not in walk:
+        walk[v] = len(walk)
+        t, k = came = min(e for e in left[v] if e != came)
+        v = ("bead", k) if v[0] == "thief" else ("thief", t)
+    return list(walk)[walk[v] :]
 
 
 def is_forest(g: ColorFlowGraph | _IntGraph) -> bool:
     """True when the sharing graph is acyclic."""
-    return not find_b_factor(g.edges, {}, ())[1]
+    return not any(_peel(g.edges, {}, ())[2].values())
 
 
 def build_flow_graph(
@@ -202,23 +243,29 @@ def _shares_by_color(
     return out
 
 
+def _split_edges(shares: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (thief, bead) keys at beads that two thieves or more share, by
+    bead and then by thief: the edges of the sharing graph."""
+    owners: dict[int, list[int]] = {}
+    for t, k in shares:
+        owners.setdefault(k, []).append(t)
+    return [
+        (t, k) for k in sorted(owners) if len(owners[k]) > 1 for t in sorted(owners[k])
+    ]
+
+
 def _color_graph(
     neck: Necklace, j: int, d: int, shares: Mapping[tuple[int, int], int]
 ) -> _IntGraph:
     """``build_flow_graph`` from color j's shares, amounts in units of 1/d."""
     q = neck.q
     rj = neck.r[j - 1]
-    # one pass for every bead's owners and every thief's whole holding, one
-    # for every thief's split-bead total and edge count
-    bead_owners: dict[int, list[int]] = {}
+    edges = {e: shares[e] for e in _split_edges(shares)}
+    split_beads = tuple(dict.fromkeys(k for _, k in edges))
+    # every thief's whole holding, then its split-bead total and edge count
     held: dict[int, int] = {}
-    for (t, k), amt in shares.items():
-        bead_owners.setdefault(k, []).append(t)
+    for (t, _), amt in shares.items():
         held[t] = held.get(t, 0) + amt
-    split_beads = tuple(sorted(k for k, ts in bead_owners.items() if len(ts) >= 2))
-    edges = {
-        (t, k): shares[(t, k)] for k in split_beads for t in sorted(bead_owners[k])
-    }
     shared: dict[int, int] = {}
     degree: dict[int, int] = {}
     for (t, _), amt in edges.items():
@@ -252,42 +299,6 @@ def _color_graph(
     return _IntGraph(j, q, rj, d, split_beads, edges, alpha)
 
 
-def _find_cycle(
-    adj: dict[tuple[str, int], list[tuple[str, int]]],
-) -> list[tuple[str, int]] | None:
-    """One cycle as an alternating vertex list, or None.
-
-    Deterministic: roots and neighbors are scanned in sorted order and
-    the first back edge closes the cycle.  In an undirected DFS every
-    visited non-parent neighbor lies on the current path.
-    """
-    visited: set[tuple[str, int]] = set()
-    path: list[tuple[str, int]] = []
-
-    def dfs(
-        node: tuple[str, int], par: tuple[str, int] | None
-    ) -> list[tuple[str, int]] | None:
-        visited.add(node)
-        path.append(node)
-        for nxt in sorted(adj[node]):
-            if nxt == par:
-                continue
-            if nxt in visited:
-                return path[path.index(nxt) :]
-            found = dfs(nxt, node)
-            if found is not None:
-                return found
-        path.pop()
-        return None
-
-    for root in sorted(adj):
-        if root not in visited:
-            found = dfs(root, None)
-            if found is not None:
-                return list(found)
-    return None
-
-
 def _push_around(
     alloc: dict[tuple[int, int], int], cycle: list[tuple[str, int]], unit: int
 ) -> None:
@@ -299,36 +310,25 @@ def _push_around(
     push orientations the one saturating an edge sooner (smaller amount
     moved) wins; on a tie the first edge is increased.
     """
-    thieves = [v for v in cycle if v[0] == "t"]
-    start = min(thieves)
-    i = cycle.index(start)
+    i = cycle.index(min(v for v in cycle if v[0] == "thief"))
     cycle = cycle[i:] + cycle[:i]
     if cycle[1][1] > cycle[-1][1]:
         cycle = [cycle[0]] + cycle[1:][::-1]
-
-    edges = []
-    for i in range(len(cycle)):
-        a, b = cycle[i], cycle[(i + 1) % len(cycle)]
-        t = a[1] if a[0] == "t" else b[1]
-        k = a[1] if a[0] == "k" else b[1]
-        edges.append((t, k))
-
-    def limit(first_plus: bool) -> int:
-        deltas = []
-        for i, e in enumerate(edges):
-            plus = (i % 2 == 0) == first_plus
-            deltas.append(unit - alloc[e] if plus else alloc[e])
-        return min(deltas)
-
-    d_plus, d_minus = limit(True), limit(False)
-    first_plus = d_plus <= d_minus
-    delta = d_plus if first_plus else d_minus
-    if delta <= 0:
+    # thieves t_0, t_1, ... and beads k_0, k_1, ... in turn: moving delta
+    # onto every (t_i, k_i) and off every (t_{i+1}, k_i) keeps every sum
+    ts, ks = [v[1] for v in cycle[0::2]], [v[1] for v in cycle[1::2]]
+    up, down = list(zip(ts, ks)), list(zip(ts[1:] + ts[:1], ks))
+    d_up = min(min(unit - alloc[e] for e in up), min(alloc[e] for e in down))
+    d_down = min(min(alloc[e] for e in up), min(unit - alloc[e] for e in down))
+    if d_up > d_down:
+        up, down, d_up = down, up, d_down
+    if d_up <= 0:
         raise InternalInvariantError("cycle with no pushable amount")
-    for i, e in enumerate(edges):
-        plus = (i % 2 == 0) == first_plus
-        alloc[e] = alloc[e] + delta if plus else alloc[e] - delta
-        if alloc[e] == 0:
+    for e in up:
+        alloc[e] += d_up
+    for e in down:
+        alloc[e] -= d_up
+        if not alloc[e]:
             del alloc[e]
 
 
@@ -343,8 +343,12 @@ def cancel_cycles(cont: ContinuousSplitting, neck: Necklace) -> ContinuousSplitt
     An input without cycles is returned unchanged.  Amounts are
     integers in units of 1/d, d the lcm of the cut denominators: every
     push moves a minimum of such multiples, so d stays a valid unit.
+    The input must pass ``verify_continuous``'s bead-sum and fairness
+    clauses; it may have more cuts than the bound.
     """
     d, alloc = cont.scaled_allocation(neck)
+    if _share_violations(neck, d, alloc.items()):
+        raise PreconditionError("the supplied continuous splitting is not fair")
     runs = _cancel(neck, d, alloc, len(cont.cuts))[1]
     if runs is None:
         return cont
@@ -363,20 +367,7 @@ def _cancel(
     by_color = _shares_by_color(neck, alloc)
     changed = False
     for shares in by_color:
-        while True:
-            owners: dict[int, list[int]] = {}
-            for t, k in shares:
-                owners.setdefault(k, []).append(t)
-            adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-            for k, ts in owners.items():
-                if len(ts) < 2:
-                    continue
-                for t in ts:
-                    adj.setdefault(("t", t), []).append(("k", k))
-                    adj.setdefault(("k", k), []).append(("t", t))
-            cycle = _find_cycle(adj)
-            if cycle is None:
-                break
+        while (cycle := _find_cycle(_split_edges(shares))) is not None:
             changed = True
             _push_around(shares, cycle, d)
     if not changed:
@@ -444,13 +435,21 @@ def _round_color(g: _IntGraph, advantaged: Collection[int]) -> dict[int, int]:
 def _checked(
     g: ColorFlowGraph, r: int, thief: int | None = None, who: str = "thief"
 ) -> _IntGraph:
-    """g in integer units, once its remainder is r and ``thief`` lies in 1..q."""
+    """g in integer units, once its remainder is r, ``thief`` lies in 1..q
+    and every edge joins a thief in 1..q to a split bead."""
     if g.r != r:
         raise PreconditionError(
             f"this rounding handles r={r}, got r={g.r} for color {g.color}"
         )
     if thief is not None and not 1 <= thief <= g.q:
         raise PreconditionError(f"{who} {thief} not in 1..{g.q}")
+    beads = set(g.split_beads)
+    off = [e for e in g.edges if not 1 <= e[0] <= g.q or e[1] not in beads]
+    if off:
+        raise PreconditionError(
+            f"color {g.color}: edge {off[0]} does not join a thief in 1..{g.q} "
+            "to a split bead"
+        )
     return _scaled(g)
 
 

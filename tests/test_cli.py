@@ -452,6 +452,21 @@ def test_split_necklace_q_in_the_thousands_fits_in_512_mb():
     assert verify_discrete(Necklace((1,), 5000), {1: [1]}, DiscreteSplitting(owner)) == []
 
 
+def test_split_necklace_on_a_600_bead_sharing_path_exits_0():
+    # the sharing graph is one path of 1200 edges; cycle cancellation must
+    # cross it without a recursion frame per vertex
+    n = 600
+    inst = json.dumps({
+        "kind": "necklace", "colors": [1] * n, "q": n + 1,
+        "advantages": {"1": list(range(1, n + 1))},
+    })
+    code, out, err, _ = run_cli_capped(["split-necklace", "--input", "-"], inst)
+    assert code == 0 and "Traceback" not in err, err
+    advantages = {1: range(1, n + 1)}
+    split = DiscreteSplitting(json.loads(out)["owner"])
+    assert verify_discrete(Necklace((1,) * n, n + 1), advantages, split) == []
+
+
 def test_split_necklace_budget_exit_5(capsys):
     code, _, err = run(
         capsys,

@@ -155,6 +155,28 @@ def test_cancel_cycles_is_identity_on_forests():
     assert cancel_cycles(cont, neck) is cont
 
 
+def test_cancel_cycles_returns_the_fair_700_bead_split():
+    # thief t owns [700(t-1)/701, 700t/701]: one sharing path of 1400 edges
+    n = 700
+    neck = Necklace((1,) * n, n + 1)
+    cont = ContinuousSplitting(
+        cuts=tuple(F(n * k, n + 1) for k in range(1, n + 1)), owners=range(1, n + 2)
+    )
+    assert cancel_cycles(cont, neck) is cont
+
+
+@pytest.mark.parametrize("cuts, owners", [
+    # thief 1 holds 3 of 4 beads, on a 4-cycle through beads 1 and 2
+    ((F(1, 2), F(1), F(3, 2), F(2)), (1, 2, 1, 2, 1)),
+    # thief 1 holds 1 of 4 beads, with no bead shared
+    ((F(1),), (1, 2)),
+])
+def test_cancel_cycles_rejects_unfair_input(cuts, owners):
+    neck = Necklace((1, 1, 1, 1), 2)
+    with pytest.raises(PreconditionError, match="not fair"):
+        cancel_cycles(ContinuousSplitting(cuts=cuts, owners=owners), neck)
+
+
 def test_cancel_cycles_preserves_per_color_totals():
     for n in range(1, 6):
         for colors in canonical_colorings(n, 2):
@@ -429,6 +451,7 @@ FLOW = "color 1: edge amounts do not satisfy the flow equalities"
 CYCLE = "color 1: sharing graph has a cycle; cancel cycles first"
 SIZE_R1 = "color 1: expected |B_j| = sum(alpha)+1 = 1, got 0"
 SHAPE_RQ1 = "color 1: acyclic r=q-1 graph must have q-1 split beads and zero alpha"
+OFF_GRAPH = "color 1: edge {} does not join a thief in 1..2 to a split bead"
 
 
 @pytest.mark.parametrize("rounder, graph, thief, error, message", [
@@ -456,10 +479,15 @@ SHAPE_RQ1 = "color 1: acyclic r=q-1 graph must have q-1 split beads and zero alp
     (round_color_r1, lambda: empty_graph(3, 1), 1, PreconditionError, SIZE_R1),
     (round_color_rq1, lambda: empty_graph(3, 2), 1, InternalInvariantError, SHAPE_RQ1),
     (round_color_rq1, lambda: empty_graph(2, 1), 1, PreconditionError, SIZE_R1),
+    # an edge off the graph: thieves 0 and 3 at q = 2, or bead 2 not split
+    (round_color_r0, lambda: ColorFlowGraph(1, 2, 0, (1,), {(0, 1): F(1, 2), (3, 1): F(1, 2)}, {}),
+     None, PreconditionError, OFF_GRAPH.format((0, 1))),
+    (round_color_r0, lambda: ColorFlowGraph(1, 2, 0, (1,), {(1, 1): F(1), (2, 2): F(0)}, {1: 1}),
+     None, PreconditionError, OFF_GRAPH.format((2, 2))),
 ], ids=[
     "r0-r", "r1-r", "rq1-r", "r1-thief0", "r1-thief4", "rq1-thief0", "rq1-thief4",
     "r0-flow", "r1-flow", "rq1-flow", "r0-cycle", "r1-cycle", "rq1-cycle",
-    "r1-shape", "rq1-shape", "rq1-shape-q2",
+    "r1-shape", "rq1-shape", "rq1-shape-q2", "r0-off-thief", "r0-off-bead",
 ])
 def test_rounders_report_each_single_fault(rounder, graph, thief, error, message):
     args = (graph(),) if thief is None else (graph(), thief)
@@ -549,6 +577,15 @@ def test_is_forest_matches_union_find_on_random_graphs():
         g = ColorFlowGraph(1, thieves, 0, (), dict.fromkeys(edges, F(1, 2)), {})
         expected = union_find_is_forest(edges)
         assert is_forest(g) == expected, edges
+        cycle = rounding._find_cycle(edges)
+        assert (cycle is None) == expected, edges
+        if cycle is not None:
+            # closed, alternating, distinct, and every step an edge
+            assert len(cycle) == len(set(cycle)) >= 4, (edges, cycle)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert a[0] != b[0], (edges, cycle)
+                t, k = (a[1], b[1]) if a[0] == "thief" else (b[1], a[1])
+                assert (t, k) in g.edges, (edges, cycle)
         seen[expected] += 1
     assert min(seen.values()) > 500, seen
 
@@ -632,11 +669,11 @@ def test_pipeline_raises_on_a_bad_split(monkeypatch):
         split_with_advantages(Necklace((1, 1, 1, 1), 3), {1: [3]})
 
 
-@pytest.mark.xfail(raises=RecursionError, strict=True)
-def test_pipeline_on_a_600_bead_sharing_path():
-    # cycle cancellation searches each sharing graph with a recursive DFS,
-    # one frame per vertex of the path; 400 beads still fit
-    n = 600
+@pytest.mark.parametrize("n", [600, 900])
+def test_pipeline_on_a_long_sharing_path(n):
+    # the search's split shares bead k between thieves k and k+1: one path
+    # of 2n edges, which a recursive cycle search would need a frame per
+    # vertex to cross
     split = split_with_advantages(Necklace((1,) * n, n + 1), {1: range(1, n + 1)})
     assert split.cuts == n - 1
 
