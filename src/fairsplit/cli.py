@@ -30,6 +30,7 @@ from .errors import (
 from .jsonio import (
     Instance,
     cycle_split_to_json,
+    discrete_splitting_to_json,
     instance_to_json,
     loads_instance,
     pair_split_to_json,
@@ -107,7 +108,7 @@ def cmd_split_necklace(args: argparse.Namespace) -> dict[str, Any]:
     # raises InternalInvariantError (exit 3) on any violation
     split = split_with_advantages(neck, inst.advantages, budget=args.budget)
     report = {"ok": True, "violations": []}
-    return {"owner": list(split.owner), "cuts": split.cuts, "report": report}
+    return {**discrete_splitting_to_json(split), "cuts": split.cuts, "report": report}
 
 
 def cmd_split_stable(args: argparse.Namespace) -> dict[str, Any]:

@@ -302,9 +302,10 @@ def search_discrete(
     tries cut counts ascending, so the result has the fewest cuts
     possible; within a count, every bead goes first to the thief
     holding the bead before it, then to the others in ascending order.
-    ``budget`` bounds the search nodes across all cut counts.  Serves
-    as the independent oracle against which the continuous-rounding
-    pipeline is checked.
+    ``budget`` bounds the search nodes across all cut counts.  It runs
+    the same ``_first_owner`` as the continuous search, so it is
+    independent of the rounding stages only: the oracle against which
+    cycle cancellation and rounding are checked.
     """
     adv = normalize_advantages(neck, advantages)
     q = neck.q

@@ -614,13 +614,9 @@ def _power2_classes(
         if q == 2:
             out.append(part)
             continue
-        sub = [colors[i] for i in side]
-        # relabel the side's colors to 1..m' as ``compose_splits`` does
-        present = sorted(set(sub))
-        if len(present) != m:
-            rank = {c: r for r, c in enumerate(present, start=1)}
-            sub = [rank[c] for c in sub]
-        _power2_classes(part, sub, len(present), q // 2, budget, out)
+        # no relabel: with s >= q-1 vertices of a color and q >= 4, each side
+        # keeps floor((s-1)/2) >= q/2 - 1 >= 1 of them, so every color stays
+        _power2_classes(part, [colors[i] for i in side], m, q // 2, budget, out)
 
 
 def floor_ceil_identities(a: int, b: int, c: int) -> tuple[bool, bool]:

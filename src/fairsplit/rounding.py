@@ -29,7 +29,9 @@ and rounds with one peel whatever its remainder.  The Fraction-facing
 functions (``cancel_cycles``, ``build_flow_graph``, ``flow_equalities_ok``)
 are adapters that scale to integers and call the same rule code;
 ``round_color_r0/r1/rq1`` check their remainder and thief, then call
-``_round_color``.
+``_round_color``.  Fairness is checked once, where a splitting enters
+(``_search_allocation``, ``verify_continuous``, ``_fair_allocation``), and
+``_cancel`` re-checks what it pushed, so ``_color_graph`` checks none.
 The q=4 scenario with r_j = 2 where this rounding provably cannot
 help is packaged as ``demonstrate_r2_failure``.
 """
@@ -222,15 +224,26 @@ def build_flow_graph(
 
     Multiple shares of one bead by the same thief are merged by
     summation, so the graph is simple.  Whole beads are excluded;
-    each surviving thief amount must then be alpha + r_j/q for an
-    integer alpha >= 0, anything else means the input is not fair.
+    each surviving thief amount is then alpha + r_j/q for an integer
+    alpha >= 0.  The splitting must pass ``verify_continuous``'s
+    bead-sum and fairness clauses in every color (``_fair_allocation``);
+    it may have more cuts than the bound.
     """
     if j < 1 or j > neck.m:
         raise PreconditionError(f"color {j} does not exist")
-    d, alloc = cont.scaled_allocation(neck)
+    d, alloc = _fair_allocation(cont, neck)
     g = _color_graph(neck, j, d, _shares_by_color(neck, alloc)[j - 1])
     edges = {e: Fraction(amt, d) for e, amt in g.edges.items()}
     return ColorFlowGraph(j, g.q, g.r, g.split_beads, edges, g.alpha)
+
+
+def _fair_allocation(cont: ContinuousSplitting, neck: Necklace) -> tuple[int, dict]:
+    """``cont.scaled_allocation(neck)``, once it passes ``verify_continuous``'s
+    bead-sum and fairness clauses (not the cut bound)."""
+    d, alloc = cont.scaled_allocation(neck)
+    if _share_violations(neck, d, alloc.items()):
+        raise PreconditionError("the supplied continuous splitting is not fair")
+    return d, alloc
 
 
 def _shares_by_color(
@@ -257,45 +270,26 @@ def _split_edges(shares: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 def _color_graph(
     neck: Necklace, j: int, d: int, shares: Mapping[tuple[int, int], int]
 ) -> _IntGraph:
-    """``build_flow_graph`` from color j's shares, amounts in units of 1/d."""
+    """``build_flow_graph`` from color j's shares, amounts in units of 1/d.
+    The shares must be fair, as checked where their splitting entered, so
+    each alpha is an exact integer >= 0, and 0 for a thief with no split edge."""
     q = neck.q
     rj = neck.r[j - 1]
     edges = {e: shares[e] for e in _split_edges(shares)}
     split_beads = tuple(dict.fromkeys(k for _, k in edges))
-    # every thief's whole holding, then its split-bead total and edge count
-    held: dict[int, int] = {}
-    for (t, _), amt in shares.items():
-        held[t] = held.get(t, 0) + amt
     shared: dict[int, int] = {}
     degree: dict[int, int] = {}
     for (t, _), amt in edges.items():
         shared[t] = shared.get(t, 0) + amt
         degree[t] = degree.get(t, 0) + 1
-    alpha: dict[int, int] = {}
-    for t in range(1, q + 1):
-        if t in shared:
-            # shared/d - r_j/q = alpha, an integer >= 0
-            excess = shared[t] * q - rj * d
-            if excess < 0 or excess % (d * q):
-                raise PreconditionError(
-                    f"thief {t} holds {Fraction(shared[t], d)} of the split beads "
-                    f"of color {j}; that is not an integer plus {rj}/{q}, so the "
-                    "continuous splitting is not fair"
-                )
-            alpha[t] = excess // (d * q)
-            if degree[t] < alpha[t] + 1:
-                raise InternalInvariantError(
-                    f"thief {t} has {degree[t]} split-bead edges but "
-                    f"alpha={alpha[t]}"
-                )
-        else:
-            whole = held.get(t, 0)
-            if whole * q != neck.a[j - 1] * d:
-                raise PreconditionError(
-                    f"thief {t} shares no bead of color {j} yet holds "
-                    f"{Fraction(whole, d)} instead of {Fraction(neck.a[j - 1], q)}"
-                )
-            alpha[t] = 0
+    alpha = dict.fromkeys(range(1, q + 1), 0)
+    for t, total in shared.items():
+        # total/d - r_j/q = alpha
+        alpha[t] = (total * q - rj * d) // (d * q)
+        if degree[t] < alpha[t] + 1:
+            raise InternalInvariantError(
+                f"thief {t} has {degree[t]} split-bead edges but alpha={alpha[t]}"
+            )
     return _IntGraph(j, q, rj, d, split_beads, edges, alpha)
 
 
@@ -344,11 +338,9 @@ def cancel_cycles(cont: ContinuousSplitting, neck: Necklace) -> ContinuousSplitt
     integers in units of 1/d, d the lcm of the cut denominators: every
     push moves a minimum of such multiples, so d stays a valid unit.
     The input must pass ``verify_continuous``'s bead-sum and fairness
-    clauses; it may have more cuts than the bound.
+    clauses (``_fair_allocation``); it may have more cuts than the bound.
     """
-    d, alloc = cont.scaled_allocation(neck)
-    if _share_violations(neck, d, alloc.items()):
-        raise PreconditionError("the supplied continuous splitting is not fair")
+    d, alloc = _fair_allocation(cont, neck)
     runs = _cancel(neck, d, alloc, len(cont.cuts))[1]
     if runs is None:
         return cont

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fairsplit import cli, rounding
+from fairsplit import cli, paths, rounding
 from fairsplit.cli import _random_coloring, build_parser, main
 from fairsplit.errors import SchemaError
 from fairsplit.jsonio import (
@@ -395,6 +395,14 @@ def test_split_necklace_bad_remainder_exit_4(capsys):
     assert code == 4 and "color 1 has r=2" in err
 
 
+def test_split_necklace_duplicate_thief_exits_2(capsys, monkeypatch):
+    text = b'{"kind": "necklace", "colors": [1, 1, 1, 1, 1], "q": 3, "advantages": {"1": [2, 2]}}'
+    monkeypatch.setattr("sys.stdin", posix_stdin(text))
+    code, _, err = run(capsys, "split-necklace", "--input", "-")
+    assert code == 2
+    assert err == "error: duplicate thieves in the advantage list of color 1\n"
+
+
 def test_split_necklace_huge_q_exits_4_quickly(capsys, tmp_path):
     target = tmp_path / "necklace.json"
     target.write_text(json.dumps({
@@ -519,6 +527,17 @@ def test_split_stable_bruteforce(capsys):
     assert out["method"] == "bruteforce" and out["found"] is True
     split = stable_split_from_json(out)
     assert verify_qstable_split(ColoredPath((1, 1, 2, 2)), 3, split) == []
+
+
+def test_split_stable_bruteforce_without_a_split_exits_0(capsys, monkeypatch, caplog):
+    # no small path lacks a split, so the search is stubbed to finish empty
+    monkeypatch.setattr("fairsplit.paths._qstable_search", lambda *args: iter(()))
+    with caplog.at_level("WARNING", logger="fairsplit.paths"):
+        code = main(["split-stable", "--input", fixture("path_small.json"), "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out) == {"found": False, "method": "bruteforce", "q": 3}
+    assert ["counterexample candidate" in r.getMessage() for r in caplog.records] == [True]
 
 
 def test_split_stable_needs_q(capsys):
@@ -773,6 +792,25 @@ def test_conjecture_scan_lists_every_relabeling_of_a_counterexample(capsys, monk
     # at each n = 1..6, rather than one per coloring
     assert scanned_classes == sum([1, 2, 5, 14, 41, 122]) < out["scanned"]
     assert len(calls) == out["scanned"]
+
+
+def test_conjecture_scan_lists_relabelings_in_scan_order(capsys, monkeypatch, caplog):
+    # the search finishes empty on two n=4 classes, whose relabelings
+    # interleave: (1,1,2,2) and (2,2,1,1), (1,2,2,1) and (2,1,1,2)
+    search = paths._qstable_search
+
+    def stub(colors, *args):
+        return iter(()) if tuple(colors) in {(1, 1, 2, 2), (1, 2, 2, 1)} else search(colors, *args)
+
+    monkeypatch.setattr("fairsplit.paths._qstable_search", stub)
+    with caplog.at_level("WARNING", logger="fairsplit.paths"):
+        code, out, _ = run(capsys, "conjecture-scan", "--q", "3", "--max-n", "4", "--max-m", "2")
+    assert code == 0
+    assert [c["colors"] for c in out["counterexamples"]] == [
+        [1, 1, 2, 2], [1, 2, 2, 1], [2, 1, 1, 2], [2, 2, 1, 1],
+    ]
+    assert out["found"] == out["scanned"] - 4
+    assert len(caplog.records) == 2  # one search per class
 
 
 def test_conjecture_scan_long_one_color_paths(capsys):

@@ -83,6 +83,8 @@ def test_normalize_advantages_accepts_and_rejects():
         normalize_advantages(neck, None)  # missing required color
     with pytest.raises(SchemaError):
         normalize_advantages(Necklace((1, 2, 1, 2), 2), {1: [1]})  # r=0 color named
+    with pytest.raises(SchemaError, match="^duplicate thieves in the advantage list of color 1$"):
+        normalize_advantages(Necklace((1,) * 5, 3), {1: [2, 2]})  # r=2, one thief twice
 
 
 def test_normalize_advantages_range_check_at_huge_q():

@@ -14,11 +14,18 @@ import random
 import numpy as np
 import pytest
 
-from fairsplit.errors import NODE_BUDGET, BudgetExceededError, PreconditionError, SchemaError
+from fairsplit.errors import (
+    NODE_BUDGET,
+    BudgetExceededError,
+    InternalInvariantError,
+    PreconditionError,
+    SchemaError,
+)
 from fairsplit.paths import (
     _qstable_search,
     _snapshot,
     ColoredPath,
+    CycleSplit,
     PairSplit,
     StableSplit,
     check_coloring,
@@ -282,6 +289,25 @@ def test_cycle_split_sweep():
             assert verify_cycle_split(path, result) == [], colors
 
 
+@pytest.mark.parametrize("colors, removed, s1, s2, induced, bound, violations", [
+    # the solver's own split of (1, 1, 2, 2), with wrong counts
+    ((1, 1, 2, 2), {1: 1, 2: 3}, {2}, {4}, (1, 0), 0, ["edge-counts"]),
+    ((1, 1, 2, 2), {1: 1, 2: 3}, {2}, {4}, (0, 0), 1, ["edge-counts"]),
+    # a valid pair split whose second side holds both ends of the edge {5, 1}
+    ((1,) * 5, {1: 3}, {2, 4}, {1, 5}, (0, 1), 0, ["cycle-edges"]),
+    ((1,) * 5, {1: 3}, {2, 4}, {1, 5}, (0, 0), 0, ["edge-counts", "cycle-edges"]),
+    # neither side has the floor((n-m)/2) = 2 vertices of an independent one
+    ((1,) * 5, {1: 3}, {1}, {5}, (0, 0), 0,
+     ["coverage", "color-balance", "cycle-independence"]),
+], ids=["induced", "bound", "cycle-edges", "cycle-edges-and-counts", "cycle-independence"])
+def test_verify_cycle_split_names_each_broken_clause(
+    colors, removed, s1, s2, induced, bound, violations
+):
+    split = PairSplit(removed=removed, s1=frozenset(s1), s2=frozenset(s2))
+    cand = CycleSplit(split, induced, bound)
+    assert verify_cycle_split(ColoredPath(colors), cand) == violations
+
+
 def test_cycle_split_needs_three_vertices():
     with pytest.raises(PreconditionError):
         solve_cycle_split(ColoredPath((1, 1)))
@@ -304,6 +330,11 @@ def test_enumerate_rejects_too_small_color_class():
     # discarding q-1 vertices per color needs that many to exist
     with pytest.raises(PreconditionError):
         next(enumerate_qstable_splits(ColoredPath((1,)), 3))
+
+
+def test_enumerate_rejects_q_below_1():
+    with pytest.raises(PreconditionError, match="^q must be at least 1$"):
+        next(enumerate_qstable_splits(ColoredPath((1,)), 0))
 
 
 def test_enumerate_enforce_upper_matches_oracle():
@@ -375,6 +406,20 @@ def test_conjecture_counterexample_arithmetic_single_color_seven():
     assert 7 - 2 == 5 < 3 * 2
 
 
+def test_a_finished_search_without_a_split_is_logged_as_a_counterexample(monkeypatch, caplog):
+    # no small path lacks a split, so the search is stubbed to finish empty
+    monkeypatch.setattr("fairsplit.paths._qstable_search", lambda *args: iter(()))
+    colors = (1, 1, 2, 2, 1)
+    with caplog.at_level("WARNING", logger="fairsplit.paths"):
+        assert solve_qstable_bruteforce(ColoredPath(colors), 3) is None
+        assert qstable_split_exists(colors, 3) is False
+    expected = (
+        "no q-stable split for q=3, colors=[1, 1, 2, 2, 1] -- this is a "
+        "conjecture counterexample candidate"
+    )
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("WARNING", expected)] * 2
+
+
 def test_compose_q4_on_sixteen_vertices():
     path = ColoredPath((1,) * 8 + (2,) * 8)
 
@@ -401,6 +446,27 @@ def test_compose_identity_when_both_factors_trivial():
 
     split = compose_splits(path, 1, 1, subsolver)
     assert split.classes == (frozenset({1, 2, 3}),)
+
+
+def whole_path_or_two_classes(p, k):
+    """A subsolver that answers q=2 with a pair split and any other q
+    with two classes, the whole path and nothing."""
+    if k == 2:
+        return pair_split_as_stable(solve_pair_split(p), p)
+    return StableSplit(2, {}, (frozenset(range(1, p.n + 1)), frozenset()))
+
+
+@pytest.mark.parametrize("q1, q2", [(1, 2), (2, 1)], ids=["outer", "inner"])
+def test_compose_rejects_a_subsolver_with_the_wrong_class_count(q1, q2):
+    path = ColoredPath((1, 2, 1, 2, 1, 2))
+    with pytest.raises(InternalInvariantError, match="^subsolver returned a wrong class count$"):
+        compose_splits(path, q1, q2, whole_path_or_two_classes)
+
+
+@pytest.mark.parametrize("q", [0, 3, 6, 12])
+def test_power2_rejects_q_not_a_power_of_two(q):
+    with pytest.raises(PreconditionError, match=f"^q={q} is not a power of two$"):
+        solve_qstable_power2(ColoredPath((1,) * 20), q)
 
 
 def test_power2_solver_small():

@@ -101,6 +101,59 @@ def test_build_flow_graph_rejects_unfair_amounts():
         build_flow_graph(cont, neck, 1)
 
 
+def test_build_flow_graph_rejects_unsorted_cuts_as_unfair():
+    # the second segment runs backwards from 1/2 to 0 and is empty, so
+    # thief 2 holds half of bead 1 and thief 1 all of beads 1 and 2: the
+    # caller's fault, not a library defect
+    neck = Necklace((1, 1), 2)
+    cont = ContinuousSplitting((F(1, 2), F(0)), (2, 1, 1))
+    assert verify_continuous(neck, cont) == ["shape", "cut bound", "bead sums", "fairness"]
+    with pytest.raises(PreconditionError) as caught:
+        build_flow_graph(cont, neck, 1)
+    assert str(caught.value) == "the supplied continuous splitting is not fair"
+
+
+def malformed_splitting(rng):
+    """A random necklace and a splitting of it whose cuts may be unsorted,
+    repeated or off the necklace, and whose owners may lie outside 1..q."""
+    n, q = rng.randint(1, 6), rng.randint(2, 4)
+    neck = Necklace(rng.choice(list(canonical_colorings(n, 3))), q)
+    cuts = [F(rng.randint(-q, (n + 1) * q), q) for _ in range(rng.randint(0, 6))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        rng.shuffle(cuts)
+    elif kind == 1 and cuts:
+        cuts.insert(rng.randrange(len(cuts)), rng.choice(cuts))
+    else:
+        cuts.sort()
+    owners = [rng.randint(0, q + 1) if rng.random() < 0.1 else rng.randint(1, q)
+              for _ in range(len(cuts) + 1)]
+    return neck, ContinuousSplitting(tuple(cuts), tuple(owners))
+
+
+def test_malformed_splittings_raise_only_input_errors():
+    # any splitting that fails the bead-sum or fairness clause is the
+    # caller's fault (PreconditionError), never a library defect
+    rng = random.Random(2501)
+    rejected = 0
+    for _ in range(3000):
+        neck, cont = malformed_splitting(rng)
+        fair = not {"bead sums", "fairness"} & set(verify_continuous(neck, cont))
+        for call in [
+            lambda: cancel_cycles(cont, neck),
+            *(functools.partial(build_flow_graph, cont, neck, j)
+              for j in range(1, neck.m + 1)),
+        ]:
+            try:
+                call()
+            except PreconditionError as exc:
+                assert not fair and str(exc) == "the supplied continuous splitting is not fair"
+                rejected += 1
+            else:
+                assert fair
+    assert rejected > 1000
+
+
 def test_flow_equality_checker_catches_tampering():
     g = four_cycle_graph()
     assert flow_equalities_ok(g)

@@ -23,6 +23,7 @@ from fairsplit.signvectors import (
     _saturation,
     _zeta_up,
     alt,
+    check_partition,
     compute_J,
     compute_t,
     enumerate_sign_vectors,
@@ -221,6 +222,32 @@ def test_precedes_monotone_in_alt():
         for y in vecs:
             if precedes(x, y):
                 assert alt(x) <= alt(y)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: SignVector(-1), "n must be nonnegative", id="negative-n"),
+    pytest.param(lambda: SignVector(2, {1}, {1}), "an index cannot be both + and -",
+                 id="plus-and-minus"),
+    pytest.param(lambda: SignVector(2, {3}), "index 3 out of range 1..2", id="index-above"),
+    pytest.param(lambda: SignVector(2, (), {0}), "index 0 out of range 1..2", id="index-0"),
+    pytest.param(lambda: SignVector.from_entries([1, 2]), "entries must be +1, -1 or 0",
+                 id="bad-entry"),
+    pytest.param(lambda: SignVector.from_string("+x"), "bad sign character 'x'",
+                 id="bad-char"),
+    pytest.param(lambda: check_partition([[1], []]), "class 2 is empty", id="empty-class"),
+    pytest.param(lambda: check_partition([[1], [3]]), "classes do not partition 1..n",
+                 id="gap"),
+    pytest.param(lambda: check_partition([[1, 2], [2]]), "classes do not partition 1..n",
+                 id="overlap"),
+    pytest.param(lambda: compute_J(SignVector.from_string("+-0"), [[1, 2], [3, 4]]),
+                 "vector length does not match the partition", id="J-length"),
+    pytest.param(lambda: tucker_verify(np.array([0]), n=0, s=1), "n must be positive",
+                 id="tucker-n0"),
+])
+def test_input_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_precedes_rejects_length_mismatch():
