@@ -9,7 +9,8 @@ check, and prints the label distribution for one tiny case.
 
 from collections import Counter
 
-from fairsplit import ColoredPath, SignVector, lambda_map, lambda_table, tucker_verify
+from fairsplit import ColoredPath, SignVector, lambda_table, tucker_verify
+from fairsplit.signvectors import vector_code
 
 
 def check(colors):
@@ -36,4 +37,4 @@ if __name__ == "__main__":
     for value in sorted(hist):
         print(f"  |label|={value}: {hist[value]} vectors")
     x = SignVector.from_string("+-+")
-    print(f"  example: lambda(+-+) = {lambda_map(x, path.classes, t)}")
+    print(f"  example: lambda(+-+) = {int(labels[vector_code(x)])}")

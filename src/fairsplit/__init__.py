@@ -61,9 +61,7 @@ from .paths import (
     StableSplit,
     compose_splits,
     enumerate_qstable_splits,
-    floor_ceil_identities,
     iter_canonical_colorings,
-    pair_split_as_stable,
     solve_cycle_split,
     solve_pair_split,
     solve_qstable_bruteforce,
@@ -78,8 +76,6 @@ from .rounding import (
     build_flow_graph,
     cancel_cycles,
     demonstrate_r2_failure,
-    flow_equalities_ok,
-    is_forest,
     round_color_r0,
     round_color_r1,
     round_color_rq1,
@@ -88,13 +84,7 @@ from .rounding import (
 from .signvectors import (
     SignVector,
     TuckerReport,
-    alt,
-    compute_J,
-    compute_t,
-    enumerate_sign_vectors,
-    lambda_map,
     lambda_table,
-    precedes,
     tucker_verify,
 )
 
@@ -120,12 +110,9 @@ __all__ = [
     "SignVector",
     "StableSplit",
     "TuckerReport",
-    "alt",
     "build_flow_graph",
     "cancel_cycles",
     "compose_splits",
-    "compute_J",
-    "compute_t",
     "continuous_splitting_from_json",
     "continuous_splitting_to_json",
     "cycle_split_from_json",
@@ -134,23 +121,16 @@ __all__ = [
     "discrete_splitting_from_json",
     "discrete_splitting_to_json",
     "enumerate_qstable_splits",
-    "enumerate_sign_vectors",
-    "floor_ceil_identities",
-    "flow_equalities_ok",
     "fraction_from_json",
     "fraction_to_json",
     "instance_to_json",
-    "is_forest",
     "iter_canonical_colorings",
-    "lambda_map",
     "lambda_table",
     "load_instance",
     "loads_instance",
     "normalize_advantages",
-    "pair_split_as_stable",
     "pair_split_from_json",
     "pair_split_to_json",
-    "precedes",
     "remainders",
     "round_color_r0",
     "round_color_r1",

@@ -17,10 +17,6 @@ of splits are computed and verified here:
   is open; ``solve_qstable_bruteforce`` searches depth-first,
   ``compose_splits`` lifts solvers for q' and q'' to q'q'', and
   ``solve_qstable_power2`` composes pair splits for q a power of two.
-
-The floor/ceil division identities used by the composition are exposed
-as ``floor_ceil_identities`` (floor is toward minus infinity, matching
-Python's ``//``).
 """
 
 from __future__ import annotations
@@ -229,13 +225,11 @@ def verify_pair_split(path: ColoredPath, cand: PairSplit) -> list[str]:
     """Check a pair split clause by clause; returns violated clause names.
 
     This is ``verify_qstable_split`` at q=2 with the upper bound, on
-    ``pair_split_as_stable(cand)``: distance 2 is independence, and the
+    ``_pair_as_stable(cand)``: distance 2 is independence, and the
     two per-color bounds together are color-balance, 2|S_i & V_j|
     between |V_j| - 2 and |V_j|.
     """
-    clauses = verify_qstable_split(
-        path, 2, pair_split_as_stable(cand, path), enforce_upper=True
-    )
+    clauses = verify_qstable_split(path, 2, _pair_as_stable(cand), enforce_upper=True)
     return list(dict.fromkeys(_PAIR_CLAUSE.get(c, c) for c in clauses))
 
 
@@ -490,7 +484,7 @@ def verify_qstable_split(
     return violations
 
 
-def pair_split_as_stable(split: PairSplit, path: ColoredPath) -> StableSplit:
+def _pair_as_stable(split: PairSplit) -> StableSplit:
     """View a pair split as a 2-stable split (independence = distance >= 2)."""
     return StableSplit(
         q=2,
@@ -576,7 +570,7 @@ def solve_qstable_power2(
     """Stable split for q a power of two, via repeated pair splitting.
 
     Gives the split of ``compose_splits(path, 2, q // 2, ...)`` over
-    ``pair_split_as_stable(solve_pair_split(...))``, recursively: the
+    ``_pair_as_stable(solve_pair_split(...))``, recursively: the
     pair split of the path, then each of its sides, read as a subpath,
     split at q/2, the first side's classes first.  The recursion runs
     the pair-split search on bare vertex and color lists and builds one
@@ -617,23 +611,6 @@ def _power2_classes(
         # no relabel: with s >= q-1 vertices of a color and q >= 4, each side
         # keeps floor((s-1)/2) >= q/2 - 1 >= 1 of them, so every color stays
         _power2_classes(part, [colors[i] for i in side], m, q // 2, budget, out)
-
-
-def floor_ceil_identities(a: int, b: int, c: int) -> tuple[bool, bool]:
-    """Evaluate floor(floor(a/b)/c) == floor(a/(bc)) and the ceil twin.
-
-    Floor is toward minus infinity (Python's //), so both identities
-    hold for every integer a; b and c must be positive.
-    """
-    if b < 1 or c < 1:
-        raise ValueError("b and c must be positive integers")
-
-    def ceildiv(p: int, r: int) -> int:
-        return -((-p) // r)
-
-    floor_ok = (a // b) // c == a // (b * c)
-    ceil_ok = ceildiv(ceildiv(a, b), c) == ceildiv(a, b * c)
-    return floor_ok, ceil_ok
 
 
 def iter_canonical_colorings(n: int, max_m: int) -> Iterator[tuple[int, ...]]:

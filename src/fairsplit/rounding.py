@@ -11,9 +11,9 @@ b-factor with b(bead) = 1 and b(t) = alpha_tj + [t in A_j].  On a
 forest no flow is needed: a leaf's one edge is in the factor exactly
 when the leaf's demand is 1, so one linear peel (``_peel``, run by
 ``find_b_factor``) decides every edge.  The peel is the module's one
-graph traversal: it leaves the 2-core, where every cycle lies
-(``is_forest``), and cancellation walks that core (``_find_cycle``),
-without recursion, to the cycle a sorted depth-first search closes first.
+graph traversal: it leaves the 2-core, where every cycle lies, and
+cancellation walks that core (``_find_cycle``), without recursion, to
+the cycle a sorted depth-first search closes first.
 
 * r_j = 0: A_j is empty, so every thief keeps exactly a_j/q beads.
 * r_j = 1: A_j is the chosen thief, who gets the ceiling.
@@ -25,9 +25,9 @@ advantage assignment whose remainders all lie in {0, 1, q-1}.  It runs
 on one integer core: one allocation in units of 1/d (d = q for the
 search's own split), cycles cancelled in place, and per color an integer
 sharing graph (``_IntGraph``) that one routine, ``_round_color``, checks
-and rounds with one peel whatever its remainder.  The Fraction-facing
-functions (``cancel_cycles``, ``build_flow_graph``, ``flow_equalities_ok``)
-are adapters that scale to integers and call the same rule code;
+(``_flow_ok``) and rounds with one peel whatever its remainder.  The
+Fraction-facing functions (``cancel_cycles``, ``build_flow_graph``) are
+adapters that scale to integers and call the same rule code;
 ``round_color_r0/r1/rq1`` check their remainder and thief, then call
 ``_round_color``.  Fairness is checked once, where a splitting enters
 (``_search_allocation``, ``verify_continuous``, ``_fair_allocation``), and
@@ -85,9 +85,6 @@ class ColorFlowGraph:
         )
         object.__setattr__(self, "alpha", dict(self.alpha))
 
-    def thief_edges(self, t: int) -> list[tuple[int, int]]:
-        return [e for e in self.edges if e[0] == t]
-
 
 # a ColorFlowGraph whose edge amounts are integers in units of 1/d
 _IntGraph = namedtuple("_IntGraph", "color q r d split_beads edges alpha")
@@ -100,13 +97,9 @@ def _scaled(g: ColorFlowGraph) -> _IntGraph:
     return _IntGraph(g.color, g.q, g.r, d, g.split_beads, edges, g.alpha)
 
 
-def flow_equalities_ok(g: ColorFlowGraph) -> bool:
-    """Exact check of the per-thief, per-bead and total amount equalities."""
-    return _flow_ok(_scaled(g))
-
-
 def _flow_ok(g: _IntGraph) -> bool:
-    """``flow_equalities_ok`` by one pass summing every bead and thief."""
+    """Exact check of the per-thief, per-bead and total amount equalities,
+    by one pass summing every bead and thief."""
     bead_sum: dict[int, int] = {}
     thief_sum: dict[int, int] = {}
     for (t, k), amt in g.edges.items():
@@ -210,11 +203,6 @@ def _find_cycle(edges: Collection[tuple[int, int]]) -> list[tuple[str, int]] | N
         t, k = came = min(e for e in left[v] if e != came)
         v = ("bead", k) if v[0] == "thief" else ("thief", t)
     return list(walk)[walk[v] :]
-
-
-def is_forest(g: ColorFlowGraph | _IntGraph) -> bool:
-    """True when the sharing graph is acyclic."""
-    return not any(_peel(g.edges, {}, ())[2].values())
 
 
 def build_flow_graph(

@@ -2,20 +2,30 @@
 
 A sign vector encodes a partial two-coloring of the vertices 1..n of a
 path: ``+`` and ``-`` are the two sides, ``0`` marks a vertex left out.
-This module provides the combinatorial gadgets used to certify fair
-path splittings:
+x precedes y (x is a face of y) when y agrees with x wherever x is
+nonzero.  The labeling that certifies fair path splittings is built
+from two quantities of a vector x:
 
-* ``alt`` -- length of the longest alternating subsequence of the
-  nonzero entries (equals the number of maximal runs after deleting
-  the zeros),
-* ``precedes`` -- the specialization order: x precedes y when y agrees
-  with x wherever x is nonzero,
-* ``compute_J`` -- the colors a vector saturates, either exactly
-  balanced at half a class or with one side holding more than half,
-* ``compute_t`` and ``lambda_map`` -- an antipodal labeling of the
-  nonzero vectors built from ``alt`` and ``compute_J``; the octahedral
-  Tucker lemma says any such labeling free of complementary comparable
-  pairs needs at least n label magnitudes,
+* alt(x), the length of the longest alternating subsequence of the
+  nonzero entries (the number of maximal runs once the zeros are
+  deleted);
+* J(x), the colors x saturates: color j is in J(x) when x splits V_j
+  exactly in half (both sides holding |V_j|/2) or when one side holds
+  more than half of V_j.
+
+With t = max alt(x) over the x with J(x) empty, a nonzero x with J(x)
+nonempty gets the label +-(t + j') for j' = max J(x), signed inside
+V_j': by the side holding more than half, or, when V_j' is split
+exactly in half, by the side holding its smallest index.  Otherwise
+x gets +-alt(x), signed by its first nonzero entry.  The labeling is
+antipodal, and the octahedral Tucker lemma says any antipodal labeling
+free of complementary comparable pairs needs at least n label
+magnitudes, so t + m >= n for a path of n vertices and m colors.
+
+* ``lambda_table`` -- the labels of all 3^n vectors and t, in
+  O(m 3^n) for m classes: alt and the first sign come from one cached
+  pass over the vertices, and J(x) from one cached verdict table per
+  class size, broadcast over the code tensor;
 * ``tucker_verify`` -- exhaustive verifier for antipodality and the
   absence of complementary comparable pairs, by zeta transforms over
   the face poset of {+,-,0}^n in O(n 3^n) rather than a scan of all
@@ -25,23 +35,20 @@ path splittings:
   broadcast call, with the three low digits transposed to the top so
   that every call runs over long inner runs.
 
-Vectors are stored as the two index sets (x+, x-), which turns
-``precedes`` into two subset tests.  Enumerative sweeps run over the
-code tensor of shape (3,)*n, for n <= T_ENUMERATION_CAP: axis n-i holds
-vertex i's base-3 digit, and every table lives on that tensor, with
-each vertex's entry a broadcast view on its own axis.  The scalar
-functions and the vectorized tables are kept in lockstep by the test
-suite.  ``lambda_table`` and ``compute_t`` read alt and the first sign
-from one cached pass over the vertices, and J(x) from one cached
-verdict table per class size, broadcast over the tensor, in O(m 3^n)
-for m classes.
+``SignVector`` stores a vector as the two index sets (x+, x-), and
+``vector_code`` and ``vector_from_code`` convert it to and from its
+base-3 code.  Enumerative sweeps run over the code tensor of shape
+(3,)*n, for n <= T_ENUMERATION_CAP: axis n-i holds vertex i's base-3
+digit, and every table lives on that tensor, with each vertex's entry
+a broadcast view on its own axis.  The test suite checks every table
+against definition-level oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +56,7 @@ from .errors import InstanceTooLargeError
 
 PLUS, MINUS, ZERO = 1, -1, 0
 
-# Hard cap: compute_t, lambda_table and tucker_verify enumerate 3^n vectors.
+# Hard cap: lambda_table and tucker_verify enumerate 3^n vectors.
 T_ENUMERATION_CAP = 12
 
 _CHAR_TO_SIGN = {"+": PLUS, "-": MINUS, "0": ZERO}
@@ -146,93 +153,6 @@ def check_partition(classes: Partition) -> int:
     if seen != set(range(1, n + 1)):
         raise ValueError("classes do not partition 1..n")
     return n
-
-
-def alt(x: SignVector) -> int:
-    """Longest alternating subsequence of the nonzero entries of x.
-
-    Delete the zeros; the answer is the number of maximal runs of the
-    remaining +/- sequence (an alternating subsequence can pick at most
-    one entry per run, and picking one per run alternates).
-    """
-    runs = 0
-    last = ZERO
-    for e in x.entries:
-        if e != ZERO and e != last:
-            runs += 1
-            last = e
-    return runs
-
-
-def precedes(x: SignVector, y: SignVector) -> bool:
-    """x precedes y iff x+ is contained in y+ and x- in y-."""
-    if x.n != y.n:
-        raise ValueError("sign vectors live in different dimensions")
-    return x.plus <= y.plus and x.minus <= y.minus
-
-
-def compute_J(x: SignVector, classes: Partition) -> frozenset[int]:
-    """Colors saturated by x.
-
-    Color j is in J(x) when x splits V_j exactly in half (both sides
-    holding |V_j|/2) or when one side holds more than half of V_j.
-    """
-    n = check_partition(classes)
-    if x.n != n:
-        raise ValueError("vector length does not match the partition")
-    out = []
-    for j, cls in enumerate(classes, start=1):
-        v = len(cls)
-        p = sum(1 for i in cls if i in x.plus)
-        mn = sum(1 for i in cls if i in x.minus)
-        if (2 * p == v and 2 * mn == v) or 2 * max(p, mn) > v:
-            out.append(j)
-    return frozenset(out)
-
-
-def compute_t(classes: Partition) -> int:
-    """max alt(x) over all x with J(x) empty: the t of ``lambda_table``.
-
-    The zero vector always qualifies, so the maximum exists.  Capped at
-    n <= T_ENUMERATION_CAP.  Reads t off ``_saturation`` without
-    building the label table.
-    """
-    n = check_partition(classes)
-    _check_cap("compute_t", n)
-    return _t_of(_saturation(classes, n)[0], n)
-
-
-def lambda_map(x: SignVector, classes: Partition, t: int) -> int:
-    """Label of a nonzero sign vector, given t = compute_t(classes).
-
-    If J(x) is nonempty the label is +-(t + j') for j' = max J(x); the
-    sign is decided inside V_j': by which side exceeds half, or, in the
-    exactly-balanced case, by which side holds the smallest index.
-    Otherwise the label is +-alt(x), signed by the first nonzero entry.
-    """
-    if x.is_zero:
-        raise ValueError("the zero vector carries no label")
-    J = compute_J(x, classes)
-    if J:
-        jp = max(J)
-        cls = classes[jp - 1]
-        v = len(cls)
-        p = sorted(i for i in cls if i in x.plus)
-        mn = sorted(i for i in cls if i in x.minus)
-        if 2 * len(p) == v and 2 * len(mn) == v:
-            sign = PLUS if p[0] < mn[0] else MINUS
-        else:
-            sign = PLUS if 2 * len(p) > v else MINUS
-        return sign * (t + jp)
-    return x.first_sign() * alt(x)
-
-
-def enumerate_sign_vectors(n: int, include_zero: bool = False) -> Iterator[SignVector]:
-    """All sign vectors of length n in base-3 code order."""
-    for code in range(3**n):
-        if code == 0 and not include_zero:
-            continue
-        yield vector_from_code(code, n)
 
 
 def vector_code(x: SignVector) -> int:
@@ -351,11 +271,6 @@ def _saturation(classes: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (key >> 1).astype(np.int32), (key > 0).view(np.int8) - 2 * (key & 1)
 
 
-def _t_of(jprime: np.ndarray, n: int) -> int:
-    """t = max alt(x) over the codes with J(x) empty, where j' is 0."""
-    return int(_runs(n)[0][jprime == 0].max())
-
-
 def _check_cap(name: str, n: int) -> None:
     if n > T_ENUMERATION_CAP:
         raise InstanceTooLargeError(
@@ -364,19 +279,26 @@ def _check_cap(name: str, n: int) -> None:
 
 
 def lambda_table(classes: Partition) -> tuple[np.ndarray, int]:
-    """Vectorized ``lambda_map`` over all 3^n codes.
+    """The path labeling of every code, and its t.
 
-    Returns (labels, t); labels[0] (the zero vector) is 0 and outside
-    the labeling's domain.  The labels start from the cached first-sign
-    times alt table and take sign * (t + j') wherever ``_saturation``
-    finds a saturated color.  Scalar lambda_map and this table agree
-    entrywise (tested exhaustively for small n).
+    A nonzero x with J(x) nonempty gets +-(t + j') for j' = max J(x),
+    signed by the side of x holding more than half of V_j', or, when
+    V_j' is split exactly in half, by the side holding its smallest
+    index; any other nonzero x gets +-alt(x), signed by its first nonzero
+    entry.  t is max alt(x) over the x with J(x) empty, which the zero
+    vector always is.  Returns (labels, t) with labels[code] the label of
+    ``vector_from_code(code, n)``; labels[0] (the zero vector) is 0 and
+    outside the labeling's domain.  The labels start from the cached
+    first-sign times alt table and take sign * (t + j') wherever
+    ``_saturation`` finds a saturated color.  Capped at
+    n <= T_ENUMERATION_CAP.
     """
     n = check_partition(classes)
     _check_cap("lambda_table", n)
     jprime, sign = _saturation(classes, n)
-    t = _t_of(jprime, n)
-    labels = _runs(n)[1].copy()
+    runs, signed = _runs(n)
+    t = int(runs[jprime == 0].max())
+    labels = signed.copy()
     np.copyto(labels, sign * (t + jprime), where=jprime > 0)
     labels[0] = 0
     return labels, t

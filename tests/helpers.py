@@ -1,5 +1,6 @@
 """Shared enumeration helpers for the sweep tests, a capped CLI runner,
-and the b-factor flow oracle for the rounding's leaf peel."""
+and the oracles for the rounding: the sharing graphs' flow equalities,
+a union-find forest test and the b-factor flow for the leaf peel."""
 
 from __future__ import annotations
 
@@ -87,6 +88,42 @@ def fraction_allocation_oracle(cont, neck) -> dict[tuple[int, int], Fraction]:
                 key = (owner, k)
                 alloc[key] = alloc.get(key, Fraction(0)) + amt
     return alloc
+
+
+def flow_equalities_oracle(g) -> bool:
+    """The flow equalities of a ``ColorFlowGraph`` by one Fraction sum per
+    bead, per thief and in total."""
+    if sum(g.edges.values()) != len(g.split_beads):
+        return False
+    for k in g.split_beads:
+        if sum(u for (t, kk), u in g.edges.items() if kk == k) != 1:
+            return False
+    for t in range(1, g.q + 1):
+        total = sum(u for (tt, k), u in g.edges.items() if tt == t)
+        expected = g.alpha.get(t, 0) + Fraction(g.r, g.q)
+        if any(tt == t for tt, _ in g.edges):
+            if total != expected:
+                return False
+        elif total != 0 or g.alpha.get(t, 0) != 0:
+            return False
+    return True
+
+
+def union_find_is_forest(edges: Iterable[tuple[int, int]]) -> bool:
+    """True when the thief/bead graph of the (thief, bead) edges is acyclic."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for t, k in edges:
+        a, b = find(("t", t)), find(("k", k))
+        if a == b:
+            return False
+        parent[a] = b
+    return True
 
 
 def run_cli_capped(

@@ -21,7 +21,6 @@ from fairsplit.paths import (
     ColoredPath,
     compose_splits,
     enumerate_qstable_splits,
-    floor_ceil_identities,
     solve_cycle_split,
     solve_pair_split,
     solve_qstable_power2,
@@ -33,15 +32,15 @@ from fairsplit.rounding import (
     build_flow_graph,
     cancel_cycles,
     demonstrate_r2_failure,
-    flow_equalities_ok,
-    is_forest,
     split_with_advantages,
 )
 from helpers import (
     BipartiteGraph,
     canonical_colorings,
     find_b_factor,
+    flow_equalities_oracle,
     iter_colorings,
+    union_find_is_forest,
     verify_b_factor,
 )
 
@@ -177,7 +176,10 @@ def test_criterion_04_floor_ceil_identities():
     for a in range(-100, 101):
         for b in range(1, 13):
             for c in range(1, 13):
-                floor_ok, ceil_ok = floor_ceil_identities(a, b, c)
+                # floor(floor(a/b)/c) = floor(a/(bc)) and the ceiling twin,
+                # with // flooring toward minus infinity and ceil(p/r) = -(-p // r)
+                floor_ok = (a // b) // c == a // (b * c)
+                ceil_ok = -((-a // b) // c) == -(-a // (b * c))
                 if not (floor_ok and ceil_ok):
                     failures.append((a, b, c))
                 cases += 1
@@ -270,12 +272,12 @@ def test_criterion_08_flow_invariants():
                 cont = _continuous_for(path.colors, q)
                 cancelled = cancel_cycles(cont, neck)
                 for j in range(1, neck.m + 1):
-                    if not flow_equalities_ok(build_flow_graph(cont, neck, j)):
+                    if not flow_equalities_oracle(build_flow_graph(cont, neck, j)):
                         failures.append((path.colors, q, j, "pre"))
                     g = build_flow_graph(cancelled, neck, j)
-                    if not flow_equalities_ok(g):
+                    if not flow_equalities_oracle(g):
                         failures.append((path.colors, q, j, "post"))
-                    if not is_forest(g):
+                    if not union_find_is_forest(g.edges):
                         failures.append((path.colors, q, j, "cycle"))
     _verdict(
         8,

@@ -22,6 +22,7 @@ from fairsplit.errors import (
     SchemaError,
 )
 from fairsplit.paths import (
+    _pair_as_stable,
     _qstable_search,
     _snapshot,
     ColoredPath,
@@ -31,9 +32,7 @@ from fairsplit.paths import (
     check_coloring,
     compose_splits,
     enumerate_qstable_splits,
-    floor_ceil_identities,
     iter_canonical_colorings,
-    pair_split_as_stable,
     qstable_split_exists,
     solve_cycle_split,
     solve_pair_split,
@@ -361,7 +360,7 @@ def test_q2_always_found_and_agrees_with_pair_split():
             split = solve_qstable_bruteforce(path, 2)
             assert split is not None, colors
             assert verify_qstable_split(path, 2, split) == [], colors
-            as_stable = pair_split_as_stable(solve_pair_split(path), path)
+            as_stable = _pair_as_stable(solve_pair_split(path))
             assert verify_qstable_split(path, 2, as_stable) == [], colors
 
 
@@ -425,7 +424,7 @@ def test_compose_q4_on_sixteen_vertices():
 
     def subsolver(p, q):
         if q == 2:
-            return pair_split_as_stable(solve_pair_split(p), p)
+            return _pair_as_stable(solve_pair_split(p))
         return solve_qstable_bruteforce(p, q)
 
     split = compose_splits(path, 2, 2, subsolver)
@@ -452,7 +451,7 @@ def whole_path_or_two_classes(p, k):
     """A subsolver that answers q=2 with a pair split and any other q
     with two classes, the whole path and nothing."""
     if k == 2:
-        return pair_split_as_stable(solve_pair_split(p), p)
+        return _pair_as_stable(solve_pair_split(p))
     return StableSplit(2, {}, (frozenset(range(1, p.n + 1)), frozenset()))
 
 
@@ -483,7 +482,7 @@ def composition_reference(path, q, budget=None):
     """``solve_qstable_power2`` as the generic composition of pair splits."""
     kw = {} if budget is None else {"budget": budget}
     if q == 2:
-        return pair_split_as_stable(solve_pair_split(path, **kw), path)
+        return _pair_as_stable(solve_pair_split(path, **kw))
     return compose_splits(
         path, 2, q // 2, lambda sub, k: composition_reference(sub, k, budget)
     )
@@ -528,14 +527,6 @@ def test_power2_checks_class_sizes_before_any_search():
     path = ColoredPath((1, 1, 1, 2))
     with pytest.raises(PreconditionError, match="q-1=3"):
         solve_qstable_power2(path, 4, budget=1)
-
-
-def test_floor_ceil_goldens():
-    assert floor_ceil_identities(7, 3, 2) == (True, True)
-    assert floor_ceil_identities(0, 5, 9) == (True, True)
-    assert floor_ceil_identities(-7, 3, 2) == (True, True)
-    with pytest.raises(ValueError):
-        floor_ceil_identities(1, 0, 1)
 
 
 def test_budget_guard_rejects_huge_enumeration():

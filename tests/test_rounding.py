@@ -34,8 +34,6 @@ from fairsplit.rounding import (
     build_flow_graph,
     cancel_cycles,
     demonstrate_r2_failure,
-    flow_equalities_ok,
-    is_forest,
     round_color_r0,
     round_color_r1,
     round_color_rq1,
@@ -46,9 +44,21 @@ from helpers import (
     canonical_colorings,
     fraction_allocation_oracle,
     find_b_factor as flow_b_factor,
+    flow_equalities_oracle,
+    union_find_is_forest,
 )
 
 F = Fraction
+
+
+def flow_ok(g):
+    """The rounding's own flow-equality check, ``_flow_ok``, on a Fraction graph."""
+    return rounding._flow_ok(rounding._scaled(g))
+
+
+def peel_keeps_a_cycle(edges):
+    """Whether the rounding's leaf peel leaves a cycle among the (thief, bead) edges."""
+    return rounding.find_b_factor(edges, {}, ())[1]
 
 
 def four_cycle_graph():
@@ -83,8 +93,8 @@ def test_build_flow_graph_golden():
     }
     assert g.alpha == {1: 0, 2: 1, 3: 0}
     assert g.r == 1
-    assert flow_equalities_ok(g)
-    assert is_forest(g)
+    assert flow_equalities_oracle(g)
+    assert union_find_is_forest(g.edges)
 
 
 def test_build_flow_graph_rejects_missing_color():
@@ -156,7 +166,7 @@ def test_malformed_splittings_raise_only_input_errors():
 
 def test_flow_equality_checker_catches_tampering():
     g = four_cycle_graph()
-    assert flow_equalities_ok(g)
+    assert flow_ok(g)
     bad = ColorFlowGraph(
         color=1,
         q=2,
@@ -165,11 +175,11 @@ def test_flow_equality_checker_catches_tampering():
         edges={**g.edges, (1, 1): F(1, 3)},
         alpha=g.alpha,
     )
-    assert not flow_equalities_ok(bad)
+    assert not flow_ok(bad)
 
 
 def test_forest_detection():
-    assert not is_forest(four_cycle_graph())
+    assert peel_keeps_a_cycle(four_cycle_graph().edges)
     path = ColorFlowGraph(
         color=1,
         q=3,
@@ -183,7 +193,7 @@ def test_forest_detection():
         },
         alpha={1: 0, 2: 1, 3: 0},
     )
-    assert is_forest(path)
+    assert not peel_keeps_a_cycle(path.edges)
 
 
 # === cycle cancellation ===
@@ -241,8 +251,8 @@ def test_cancel_cycles_preserves_per_color_totals():
                 assert len(out.cuts) <= len(cont.cuts)
                 for j in range(1, neck.m + 1):
                     g = build_flow_graph(out, neck, j)
-                    assert flow_equalities_ok(g)
-                    assert is_forest(g)
+                    assert flow_equalities_oracle(g)
+                    assert union_find_is_forest(g.edges)
                 before = cont.allocation(neck)
                 after = out.allocation(neck)
                 for t in range(1, q + 1):
@@ -305,34 +315,16 @@ def test_cancel_cycles_on_pieces_of_one_over_2q():
                 assert out.allocation(neck) == fraction_allocation_oracle(out, neck)
                 for j in range(1, neck.m + 1):
                     g = build_flow_graph(out, neck, j)
-                    assert flow_equalities_ok(g), (colors, q, j)
-                    assert is_forest(g), (colors, q, j)
+                    assert flow_equalities_oracle(g), (colors, q, j)
+                    assert union_find_is_forest(g.edges), (colors, q, j)
 
 
 # === flow equalities against the per-sum oracle ===
 
-def flow_equalities_oracle(g):
-    """The flow equalities by one Fraction sum per bead, per thief and in total."""
-    if sum(g.edges.values()) != len(g.split_beads):
-        return False
-    for k in g.split_beads:
-        if sum(u for (t, kk), u in g.edges.items() if kk == k) != 1:
-            return False
-    for t in range(1, g.q + 1):
-        total = sum(u for (tt, k), u in g.edges.items() if tt == t)
-        expected = g.alpha.get(t, 0) + Fraction(g.r, g.q)
-        if g.thief_edges(t):
-            if total != expected:
-                return False
-        elif total != 0 or g.alpha.get(t, 0) != 0:
-            return False
-    return True
-
-
 def tampered_graphs(g):
     """(name, graph, must_fail) for each way of breaking g's equalities."""
     step = F(1, g.q)
-    idle = [t for t in range(1, g.q + 1) if not g.thief_edges(t)]
+    idle = sorted(set(range(1, g.q + 1)) - {t for t, _ in g.edges})
     out = []
     if idle:
         out.append(("idle thief with alpha", replace(g, alpha={**g.alpha, idle[0]: 1}), True))
@@ -352,7 +344,7 @@ def tampered_graphs(g):
     ]
     # 1/q moved between two beads of one thief breaks only the bead sums
     for t in range(1, g.q + 1):
-        mine = g.thief_edges(t)
+        mine = [e for e in g.edges if e[0] == t]
         if len(mine) >= 2:
             a, b = mine[:2]
             moved = {**g.edges, a: g.edges[a] + step, b: g.edges[b] - step}
@@ -382,10 +374,10 @@ def sweep_sharing_graphs(cancelled_only=False):
 def test_flow_equalities_match_oracle_on_sweep_and_tampering():
     graphs = tampered = 0
     for g in sweep_sharing_graphs():
-        assert flow_equalities_ok(g) and flow_equalities_oracle(g), g
+        assert flow_ok(g) and flow_equalities_oracle(g), g
         graphs += 1
         for name, bad, must_fail in tampered_graphs(g):
-            got = flow_equalities_ok(bad)
+            got = flow_ok(bad)
             assert got == flow_equalities_oracle(bad), (name, bad)
             assert got != must_fail, (name, bad)
             tampered += 1
@@ -601,22 +593,6 @@ def test_peel_matches_the_flow_oracle_on_random_forests():
     assert min(seen.values()) > 1000, seen
 
 
-def union_find_is_forest(edges):
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            x = parent[x]
-        return x
-
-    for t, k in edges:
-        a, b = find(("t", t)), find(("k", k))
-        if a == b:
-            return False
-        parent[a] = b
-    return True
-
-
 def test_is_forest_matches_union_find_on_random_graphs():
     rng = random.Random(1123)
     seen = {True: 0, False: 0}
@@ -627,9 +603,8 @@ def test_is_forest_matches_union_find_on_random_graphs():
             (t, k) for t in range(1, thieves + 1) for k in range(1, beads + 1)
             if rng.random() < p
         ]
-        g = ColorFlowGraph(1, thieves, 0, (), dict.fromkeys(edges, F(1, 2)), {})
         expected = union_find_is_forest(edges)
-        assert is_forest(g) == expected, edges
+        assert peel_keeps_a_cycle(edges) != expected, edges
         cycle = rounding._find_cycle(edges)
         assert (cycle is None) == expected, edges
         if cycle is not None:
@@ -638,7 +613,7 @@ def test_is_forest_matches_union_find_on_random_graphs():
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 assert a[0] != b[0], (edges, cycle)
                 t, k = (a[1], b[1]) if a[0] == "thief" else (b[1], a[1])
-                assert (t, k) in g.edges, (edges, cycle)
+                assert (t, k) in edges, (edges, cycle)
         seen[expected] += 1
     assert min(seen.values()) > 500, seen
 

@@ -1,12 +1,14 @@
-"""Sign-vector algebra checked against brute-force oracles.
+"""Sign-vector tables checked against brute-force oracles.
 
 The oracles below recompute alt, J, and t straight from their
 definitions (subsequence enumeration, counting, full vector scans) so
-the closed-form implementations are never trusted on their own word.
-``saturation_oracle`` is the per-column saturation pass that the
-broadcast verdict tables of ``_saturation`` replaced.
+the broadcast tables behind ``lambda_table`` are never trusted on their
+own word.  ``saturation_oracle`` is the per-column saturation pass that
+the broadcast verdict tables of ``_saturation`` replaced, and
+``labels_from_saturation`` turns it into the labeling.
 """
 
+import functools
 import itertools
 import time
 from dataclasses import replace
@@ -18,18 +20,13 @@ from fairsplit.errors import InstanceTooLargeError
 from fairsplit.signvectors import (
     T_ENUMERATION_CAP,
     SignVector,
+    _face_codes,
     _negation_table,
     _runs,
     _saturation,
     _zeta_up,
-    alt,
     check_partition,
-    compute_J,
-    compute_t,
-    enumerate_sign_vectors,
-    lambda_map,
     lambda_table,
-    precedes,
     tucker_verify,
     vector_code,
     vector_from_code,
@@ -71,18 +68,24 @@ def t_oracle(classes) -> int:
     return best
 
 
+@functools.cache
 def entry_table(n):
     """(n, 3^n) array: row i-1 holds entry i (0, +1 or -1) of every code.
 
     Read off each code's base-3 digits, a layout of the oracles' own
-    rather than the library's code tensor; n = 0 gives no rows.
+    rather than the library's code tensor; n = 0 gives no rows.  Cached
+    per n, so it is read-only.
     """
     digits = np.arange(3**n) // 3 ** np.arange(n)[:, None] % 3
-    return np.where(digits == 2, -1, digits).astype(np.int8)
+    table = np.where(digits == 2, -1, digits).astype(np.int8)
+    table.flags.writeable = False
+    return table
 
 
+@functools.cache
 def alt_and_first_sign(n):
-    """alt and the first nonzero entry's sign of every code, one column at a time."""
+    """alt and the first nonzero entry's sign of every code, one column at a
+    time; cached per n, so both arrays are read-only."""
     runs = np.zeros(3**n, dtype=np.int32)
     last = np.zeros(3**n, dtype=np.int8)
     first = np.zeros(3**n, dtype=np.int8)
@@ -91,6 +94,7 @@ def alt_and_first_sign(n):
         runs += nz & (col != last)
         last = np.where(nz, col, last)
         first = np.where(first == 0, col, first)
+    runs.flags.writeable = first.flags.writeable = False
     return runs, first
 
 
@@ -147,26 +151,46 @@ def all_vectors(n):
     ]
 
 
+def comparable_codes(n):
+    """(code of x, code of y) for every x preceding y in {+,-,0}^n."""
+    vecs = all_vectors(n)
+    return [
+        (vector_code(x), vector_code(y))
+        for x in vecs
+        for y in vecs
+        if precedes_oracle(x, y)
+    ]
+
+
+def code_of(s: str) -> int:
+    return vector_code(SignVector.from_string(s))
+
+
 # === alt ===
 
 def test_alt_goldens():
-    assert alt(SignVector.from_string("000")) == 0
-    assert alt(SignVector.from_string("+-+")) == 3
-    assert alt(SignVector.from_string("+0+-")) == 2
+    assert _runs(3)[0][code_of("000")] == 0
+    assert _runs(3)[0][code_of("+-+")] == 3
+    assert _runs(4)[0][code_of("+0+-")] == 2
 
 
 def test_alt_matches_bruteforce_up_to_n5():
+    # the oracles' own alt and first sign, which labels_from_saturation reads
     for n in range(1, 6):
-        for x in all_vectors(n):
-            assert alt(x) == alt_oracle(x.entries), str(x)
+        runs, first = alt_and_first_sign(n)
+        for code in range(3**n):
+            x = vector_from_code(code, n)
+            assert runs[code] == alt_oracle(x.entries), str(x)
+            assert first[code] == x.first_sign(), str(x)
 
 
 def test_alt_bounded_by_support_with_equality_iff_alternating():
-    for x in all_vectors(4):
-        nonzero = [e for e in x.entries if e]
-        assert alt(x) <= len(nonzero)
+    runs = _runs(4)[0]
+    for code in range(3**4):
+        nonzero = [e for e in vector_from_code(code, 4).entries if e]
+        assert runs[code] <= len(nonzero)
         strictly_alternating = all(a != b for a, b in zip(nonzero, nonzero[1:]))
-        assert (alt(x) == len(nonzero)) == strictly_alternating
+        assert (runs[code] == len(nonzero)) == strictly_alternating
 
 
 def test_runs_match_scalar_alt_and_first_sign_up_to_n6():
@@ -176,8 +200,9 @@ def test_runs_match_scalar_alt_and_first_sign_up_to_n6():
         assert runs.shape == signed.shape == (3**n,)
         for code in range(3**n):
             x = vector_from_code(code, n)
-            assert runs[code] == alt(x), str(x)
-            assert signed[code] == x.first_sign() * alt(x), str(x)
+            alt = alt_oracle(x.entries)
+            assert runs[code] == alt, str(x)
+            assert signed[code] == x.first_sign() * alt, str(x)
 
 
 def test_negation_table_negates_every_code_up_to_n6():
@@ -191,37 +216,25 @@ def test_negation_table_negates_every_code_up_to_n6():
 # === precedes ===
 
 def test_precedes_goldens():
-    zero = SignVector.from_string("00")
-    assert precedes(zero, SignVector.from_string("+-"))
-    assert not precedes(SignVector.from_string("+0"), SignVector.from_string("-+"))
-    x = SignVector.from_string("+-0")
-    assert precedes(x, x)
+    assert code_of("00") in _face_codes(code_of("+-"), 2)
+    assert code_of("+0") not in _face_codes(code_of("-+"), 2)
+    assert code_of("+-0") in _face_codes(code_of("+-0"), 3)
 
 
 def test_precedes_matches_subset_definition():
-    vecs = all_vectors(3)
-    for x in vecs:
-        for y in vecs:
-            assert precedes(x, y) == precedes_oracle(x, y)
-
-
-def test_precedes_is_a_partial_order():
-    vecs = all_vectors(3)
-    for x in vecs:
-        for y in vecs:
-            if precedes(x, y) and precedes(y, x):
-                assert x == y
-            for z in vecs:
-                if precedes(x, y) and precedes(y, z):
-                    assert precedes(x, z)
+    # the faces tucker_verify draws its reported pair from
+    for n in range(5):
+        want = {}
+        for x_code, y_code in comparable_codes(n):
+            want.setdefault(y_code, []).append(x_code)
+        for y_code, faces in want.items():
+            assert sorted(_face_codes(y_code, n).tolist()) == sorted(faces), (n, y_code)
 
 
 def test_precedes_monotone_in_alt():
-    vecs = all_vectors(4)
-    for x in vecs:
-        for y in vecs:
-            if precedes(x, y):
-                assert alt(x) <= alt(y)
+    runs = _runs(4)[0]
+    for x_code, y_code in comparable_codes(4):
+        assert runs[x_code] <= runs[y_code], (x_code, y_code)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -239,8 +252,6 @@ def test_precedes_monotone_in_alt():
                  id="gap"),
     pytest.param(lambda: check_partition([[1, 2], [2]]), "classes do not partition 1..n",
                  id="overlap"),
-    pytest.param(lambda: compute_J(SignVector.from_string("+-0"), [[1, 2], [3, 4]]),
-                 "vector length does not match the partition", id="J-length"),
     pytest.param(lambda: tucker_verify(np.array([0]), n=0, s=1), "n must be positive",
                  id="tucker-n0"),
 ])
@@ -250,71 +261,64 @@ def test_input_checks_name_the_fault(build, message):
     assert str(caught.value) == message
 
 
-def test_precedes_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        precedes(SignVector.from_string("+"), SignVector.from_string("+-"))
-
-
 # === J ===
 
 def test_compute_J_goldens():
-    part = ((1, 2), (3, 4))
-    assert compute_J(SignVector.from_string("+-00"), part) == frozenset({1})
-    assert compute_J(SignVector.from_string("0000"), part) == frozenset()
-    assert compute_J(SignVector.from_string("++00"), part) == frozenset({1})
+    # j' = max J(x): J(+-00) = J(++00) = {1}, J(0000) is empty
+    jprime = _saturation(((1, 2), (3, 4)), 4)[0]
+    assert jprime[code_of("+-00")] == 1
+    assert jprime[code_of("0000")] == 0
+    assert jprime[code_of("++00")] == 1
 
 
 def test_compute_J_matches_oracle_and_negation_invariant():
+    # j' = max J(x), and negating x keeps J(x) and flips its label's sign
+    neg = _negation_table(4)
     for classes in set_partitions(4):
-        for x in all_vectors(4):
-            J = compute_J(x, classes)
-            assert J == J_oracle(x, classes)
-            assert compute_J(-x, classes) == J
+        jprime, sign = _saturation(classes, 4)
+        for code in range(3**4):
+            J = J_oracle(vector_from_code(code, 4), classes)
+            assert jprime[code] == max(J, default=0), (classes, code)
+        assert np.array_equal(jprime[neg], jprime)
+        assert np.array_equal(sign[neg], -sign)
 
 
 def test_J_empty_is_downward_closed():
     # x precedes y and J(y) empty forces J(x) empty
+    pairs = comparable_codes(4)
     for classes in set_partitions(4):
-        vecs = all_vectors(4)
-        empty = {x: not compute_J(x, classes) for x in vecs}
-        for x in vecs:
-            for y in vecs:
-                if precedes(x, y) and empty[y]:
-                    assert empty[x]
+        empty = _saturation(classes, 4)[0] == 0
+        for x_code, y_code in pairs:
+            if empty[y_code]:
+                assert empty[x_code], (classes, x_code, y_code)
 
 
 # === t ===
 
 def test_compute_t_goldens():
-    assert compute_t(((1,),)) == 0
-    assert compute_t(((1, 2),)) == 1
-    assert compute_t(((1, 2), (3, 4))) == 2
+    assert lambda_table(((1,),))[1] == 0
+    assert lambda_table(((1, 2),))[1] == 1
+    assert lambda_table(((1, 2), (3, 4)))[1] == 2
 
 
 def test_compute_t_matches_oracle():
     for n in range(1, 5):
         for classes in set_partitions(n):
-            assert compute_t(classes) == t_oracle(classes), classes
+            assert lambda_table(classes)[1] == t_oracle(classes), classes
 
 
 def test_compute_t_rejects_oversize():
     with pytest.raises(InstanceTooLargeError):
-        compute_t(tuple((i,) for i in range(1, 14)))
+        lambda_table(tuple((i,) for i in range(1, 14)))
 
 
 # === lambda ===
 
 def test_lambda_goldens():
-    part = ((1, 2), (3, 4))
-    t = compute_t(part)
+    labels, t = lambda_table(((1, 2), (3, 4)))
     assert t == 2
-    assert lambda_map(SignVector.from_string("+-00"), part, t) == 3
-    assert lambda_map(SignVector.from_string("-000"), part, t) == -1
-
-
-def test_lambda_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        lambda_map(SignVector.from_string("000"), ((1, 2, 3),), 1)
+    assert labels[code_of("+-00")] == 3
+    assert labels[code_of("-000")] == -1
 
 
 def test_lambda_antipodal_and_table_agreement():
@@ -322,12 +326,10 @@ def test_lambda_antipodal_and_table_agreement():
     parts += [((1, 2, 3), (4, 5)), ((1, 3, 5), (2, 4))]
     for classes in parts:
         n = sum(len(c) for c in classes)
-        labels, t = lambda_table(classes)
-        assert t == compute_t(classes)
-        for x in enumerate_sign_vectors(n):
-            lam = lambda_map(x, classes, t)
-            assert lambda_map(-x, classes, t) == -lam
-            assert labels[vector_code(x)] == lam
+        labels = assert_matches_saturation_oracle(classes, n)
+        for code in range(1, 3**n):
+            x = vector_from_code(code, n)
+            assert labels[vector_code(-x)] == -labels[code], (classes, str(x))
 
 
 def test_lambda_labels_within_t_plus_m():
@@ -349,7 +351,7 @@ def assert_matches_saturation_oracle(classes, n):
     want_labels, want_t = labels_from_saturation(want_j, want_sign, n)
     labels, t = lambda_table(classes)
     assert_same_array(labels, want_labels)
-    assert t == want_t == compute_t(classes)
+    assert t == want_t
     return labels
 
 
@@ -390,9 +392,6 @@ def test_labels_ignore_vertex_order_inside_a_class(classes):
     labels = assert_matches_saturation_oracle(classes, n)
     sorted_labels, _ = lambda_table(tuple(tuple(sorted(c)) for c in classes))
     assert np.array_equal(labels, sorted_labels)
-    t = compute_t(classes)
-    for x in enumerate_sign_vectors(n):
-        assert labels[vector_code(x)] == lambda_map(x, classes, t), (classes, str(x))
 
 
 def test_class_order_decides_the_color_index():
@@ -423,7 +422,7 @@ def complementary_pairs_oracle(labeling, n) -> int:
         1
         for x in vecs
         for y in vecs
-        if precedes(x, y) and labeling[x] + labeling[y] == 0
+        if precedes_oracle(x, y) and labeling[x] + labeling[y] == 0
     )
 
 
@@ -457,7 +456,7 @@ def assert_matches_pair_scan(labels, n, s):
     assert rep.complementary_pairs == len(pairs)
     if pairs:
         x, y = rep.complementary_pair
-        assert precedes(x, y)
+        assert precedes_oracle(x, y)
         assert labels[vector_code(x)] + labels[vector_code(y)] == 0
         assert (vector_code(x), vector_code(y)) in pairs
     else:
@@ -550,7 +549,7 @@ def test_tucker_first_sign_labeling_count_and_witness(n):
     if n <= 6:
         assert rep.complementary_pairs == len(pair_scan_oracle(labels, n))
     x, y = rep.complementary_pair
-    assert precedes(x, y) and x.first_sign() == -y.first_sign()
+    assert precedes_oracle(x, y) and x.first_sign() == -y.first_sign()
 
 
 def test_tucker_single_coordinate_ok():
@@ -574,7 +573,7 @@ def test_tucker_finds_complementary_pair_in_first_sign_labeling():
     assert not rep.ok
     assert rep.complementary_pairs == complementary_pairs_oracle(labeling, 2) > 0
     x, y = rep.complementary_pair
-    assert precedes(x, y) and labeling[x] + labeling[y] == 0
+    assert precedes_oracle(x, y) and labeling[x] + labeling[y] == 0
     assert not rep.lemma_contradiction
 
 
@@ -658,7 +657,7 @@ def test_zeta_up_matches_per_digit_reference(n, ufunc, dtype):
         # the definition: the reduction over every face, y itself included
         vecs = list(all_vectors(n))
         for y in vecs:
-            faces = [table[vector_code(x)] for x in vecs if precedes(x, y)]
+            faces = [table[vector_code(x)] for x in vecs if precedes_oracle(x, y)]
             assert expected[vector_code(y)] == ufunc.reduce(np.array(faces, dtype=dtype))
 
 
