@@ -10,17 +10,21 @@ exactly (a_j mod q) advantaged thieves.
 
 A continuous splitting instead cuts the necklace at rational positions
 and gives every thief exactly a_j/q of each color.  Both searches run
-one left-to-right depth-first search over owner vectors, fewest cuts
-first.  ``search_discrete`` runs it on the necklace itself with the
-floor/ceil targets of an advantage assignment.  ``search_continuous``
-runs it on the q-refined necklace, where every bead is cut into q
-sub-beads: color j then has q*a_j sub-beads, and by Alon (1987,
-*Splitting necklaces*) a split giving every thief a_j of them with at
-most (q-1)m cuts exists.  Its cuts sit at multiples of 1/q, so it is
-an exact continuous splitting without any linear solve.  Every search
-node costs one unit of budget; running out is reported as such, never
-as nonexistence.  All continuous arithmetic is exact, in integers: an
-allocation counts units of 1/d, d the lcm of the cut denominators.  The
+one left-to-right depth-first search over owner vectors, under each cut
+limit of a schedule in turn.  ``search_discrete`` runs it on the
+necklace itself with the floor/ceil targets of an advantage assignment,
+fewest cuts first.  ``search_continuous`` runs it on the q-refined
+necklace, where every bead is cut into q sub-beads: color j then has
+q*a_j sub-beads, and by Alon (1987, *Splitting necklaces*) a split
+giving every thief a_j of them with at most (q-1)m cuts exists.  It
+searches at that bound first, with half the node budget, and then
+fewest cuts first with the rest, so its answer may use more cuts than
+the fewest possible, never more than (q-1)m.  Its cuts sit at
+multiples of 1/q, so it is an exact continuous splitting without any
+linear solve.  Every search node costs one unit of the one budget;
+running out is reported as such, never as nonexistence.  All
+continuous arithmetic is exact, in integers: an allocation counts
+units of 1/d, d the lcm of the cut denominators.  The
 search's own split is built and checked once, as its owner vector and
 an allocation in units of 1/q (``_search_allocation``), which both
 ``search_continuous`` and the rounding pipeline use; fractions.Fraction
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NODE_BUDGET, BudgetExceededError, InternalInvariantError, SchemaError
 from .paths import check_coloring
@@ -198,27 +202,32 @@ def _out_of_budget(budget: int) -> BudgetExceededError:
 def _first_owner(
     beads: Sequence[int],
     target: Sequence[Sequence[int]],
-    min_cuts: int,
-    max_cuts: int,
+    schedule: Iterable[tuple[int, int]],
     budget: int,
 ) -> tuple[int, ...] | None:
-    """First owner vector meeting the targets exactly, fewest cuts first.
+    """First owner vector meeting the targets exactly, under the first cut
+    limit of ``schedule`` that yields one.
 
     Thief t must receive exactly target[t-1][j-1] beads of color j, and
     the rows must add up to the bead counts of each color.  Returns the
-    thief (1..q) of every bead, or None when no owner vector with at
-    most max_cuts cuts exists.  Cut limits run from min_cuts up; under
-    each limit the search gives bead after bead first to the thief
-    holding the previous bead, then to the other thieves in ascending
-    order.  It prunes a thief taking more than its target of a color,
-    a cut count that leaves too few cuts for every thief other than the
-    current one who is still owed beads, and a thief holding nothing
-    whose target row equals that of a lower-numbered thief also holding
-    nothing (swapping the two gives an earlier owner vector, so no
-    first solution is lost); as twins thus start in index order, only the
-    nearest lower twin is checked.  Every node costs one unit of ``budget``
-    before it is expanded; the stack is explicit and nothing is
-    memoized.
+    thief (1..q) of every bead, or None when no limit of the schedule
+    yields an owner vector.  ``schedule`` lists (limit, stop) pairs: the
+    search under cut limit ``limit`` ends when its tree is exhausted or
+    when the nodes charged so far, across the schedule, reach ``stop``,
+    and then the next pair takes over; a schedule ending in a limit
+    searched whole, with ``stop`` at least ``budget``, returns None only
+    when no owner vector has that many cuts or fewer.  Under each limit
+    the search gives bead after bead first to the thief holding the
+    previous bead, then to the other thieves in ascending order.  It
+    prunes a thief taking more than its target of a color, a cut count
+    that leaves too few cuts for every thief other than the current one
+    who is still owed beads, and a thief holding nothing whose target
+    row equals that of a lower-numbered thief also holding nothing
+    (swapping the two gives an earlier owner vector, so no first solution
+    is lost); as twins thus start in index order, only the nearest lower
+    twin is checked.  Every node costs one unit of ``budget``, one total
+    for the whole schedule, before it is expanded; the stack is explicit
+    and nothing is memoized.
     """
     n, q = len(beads), len(target)
     colors = [c - 1 for c in beads]
@@ -231,7 +240,8 @@ def _first_owner(
         latest[row] = t
     nodes = 0
 
-    for limit in range(min_cuts, max_cuts + 1):
+    for limit, stop in schedule:
+        stop = min(stop, budget)
         owed = [list(row) for row in target]
         left = totals[:]
         owing = sum(1 for x in left if x)
@@ -249,9 +259,11 @@ def _first_owner(
                 return tuple(t + 1 for t in held[1:])
             k = tried[d]
             if k == 0:
+                if nodes >= stop:
+                    if stop == budget:
+                        raise _out_of_budget(budget)
+                    break  # this limit's share is spent: on to the next
                 nodes += 1
-                if nodes > budget:
-                    raise _out_of_budget(budget)
             if k == q:
                 if d == 0:
                     break
@@ -299,9 +311,10 @@ def search_discrete(
 
     Thief t gets exactly floor(a_j/q) beads of color j, plus one when t
     is advantaged for j.  The depth-first search of ``_first_owner``
-    tries cut counts ascending, so the result has the fewest cuts
-    possible; within a count, every bead goes first to the thief
-    holding the bead before it, then to the others in ascending order.
+    tries cut limits ascending, each with the whole budget, so the result
+    has the fewest cuts possible; within a limit, every bead goes first
+    to the thief holding the bead before it, then to the others in
+    ascending order.
     ``budget`` bounds the search nodes across all cut counts.  It runs
     the same ``_first_owner`` as the continuous search, so it is
     independent of the rounding stages only: the oracle against which
@@ -313,7 +326,8 @@ def search_discrete(
         [aj // q + (t in adv.get(j, ())) for j, aj in enumerate(neck.a, start=1)]
         for t in range(1, q + 1)
     ]
-    owner = _first_owner(neck.beads, target, 0, min(max_cuts, neck.n - 1), budget)
+    limits = range(min(max_cuts, neck.n - 1) + 1)
+    owner = _first_owner(neck.beads, target, [(c, budget) for c in limits], budget)
     if owner is None:
         return None
     found = DiscreteSplitting(owner)
@@ -364,6 +378,14 @@ class ContinuousSplitting:
 
 def verify_continuous(neck: Necklace, cont: ContinuousSplitting) -> list[str]:
     """Exact check of a continuous splitting; returns violated clauses."""
+    return _continuous_violations(neck, cont)[0]
+
+
+def _continuous_violations(
+    neck: Necklace, cont: ContinuousSplitting
+) -> tuple[list[str], int, dict[tuple[int, int], int]]:
+    """``verify_continuous``'s violated clauses, with the allocation it
+    checked: ``cont.scaled_allocation(neck)``, as (d, allocation)."""
     violations: list[str] = []
     cuts, owners = cont.cuts, cont.owners
     shape_ok = (
@@ -377,7 +399,7 @@ def verify_continuous(neck: Necklace, cont: ContinuousSplitting) -> list[str]:
     if len(cuts) > (neck.q - 1) * neck.m:
         violations.append("cut bound")
     d, alloc = cont.scaled_allocation(neck)
-    return violations + _share_violations(neck, d, alloc.items())
+    return violations + _share_violations(neck, d, alloc.items()), d, alloc
 
 
 def _share_violations(
@@ -400,6 +422,22 @@ def _share_violations(
     return violations if fair else violations + ["fairness"]
 
 
+def _continuous_schedule(
+    length: int, q: int, m: int, budget: int
+) -> Iterator[tuple[int, int]]:
+    """``_first_owner``'s schedule on a q-refined necklace of ``length``
+    sub-beads: the cut bound (q-1)m with half the budget, where the most
+    splits lie, then, if that half runs out, every limit from q-1 up,
+    fewest cuts first, with the rest.  The bound goes first only when it
+    is above q-1, where fewest first would start anyway, and when half
+    the budget can reach the last sub-bead, one node per sub-bead."""
+    bound = (q - 1) * m
+    if bound > q - 1 and length <= budget // 2:
+        yield bound, budget // 2
+    for limit in range(q - 1, bound + 1):
+        yield limit, budget
+
+
 def _search_allocation(
     neck: Necklace, budget: int
 ) -> tuple[tuple[int, ...], list[int], dict[tuple[int, int], int]]:
@@ -413,7 +451,8 @@ def _search_allocation(
     if neck.n * q > budget:
         raise _out_of_budget(budget)
     refined = [c for c in neck.beads for _ in range(q)]
-    owner = _first_owner(refined, [neck.a] * q, q - 1, (q - 1) * neck.m, budget)
+    schedule = _continuous_schedule(len(refined), q, neck.m, budget)
+    owner = _first_owner(refined, [neck.a] * q, schedule, budget)
     if owner is None:
         raise InternalInvariantError(
             "continuous search exhausted its enumeration; a fair splitting "
@@ -435,9 +474,14 @@ def search_continuous(
 
     Cuts every bead into q sub-beads and asks ``_first_owner`` for a
     whole-sub-bead split of this q-refined necklace that gives every
-    thief a_j sub-beads of color j, trying q-1 cuts up to (q-1)m.  By
-    Alon (1987) such a split exists, since every color count is now a
-    multiple of q.  A cut after sub-bead i becomes the cut at i/q.
+    thief a_j sub-beads of color j.  By Alon (1987) such a split exists,
+    since every color count is now a multiple of q.  The search first
+    runs at the bound, (q-1)m cuts, with half of ``budget``; if that half
+    runs out, it tries q-1 cuts up to (q-1)m, fewest first, with the
+    rest (``_continuous_schedule``; a single color, or too many sub-beads
+    for half the budget, goes fewest first at once).  So the answer may
+    have more cuts than the fewest possible, never more than (q-1)m.  A
+    cut after sub-bead i becomes the cut at i/q.
     Existence is guaranteed, so exhausting the search or failing the
     checks of ``_search_allocation`` signals a defect; running past
     ``budget`` search nodes is reported as such, never as nonexistence.

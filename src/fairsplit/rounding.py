@@ -23,15 +23,19 @@ the cycle a sorted depth-first search closes first.
 ``split_with_advantages`` chains these stages; it realizes any
 advantage assignment whose remainders all lie in {0, 1, q-1}.  It runs
 on one integer core: one allocation in units of 1/d (d = q for the
-search's own split), cycles cancelled in place, and per color an integer
-sharing graph (``_IntGraph``) that one routine, ``_round_color``, checks
-(``_flow_ok``) and rounds with one peel whatever its remainder.  The
-Fraction-facing functions (``cancel_cycles``, ``build_flow_graph``) are
-adapters that scale to integers and call the same rule code;
-``round_color_r0/r1/rq1`` check their remainder and thief, then call
-``_round_color``.  Fairness is checked once, where a splitting enters
-(``_search_allocation``, ``verify_continuous``, ``_fair_allocation``), and
-``_cancel`` re-checks what it pushed, so ``_color_graph`` checks none.
+search's own split) and, per color, an integer sharing graph
+(``_IntGraph``) that one routine, ``_round_color``, checks (``_flow_ok``)
+and rounds with one peel whatever its remainder.  It rounds each color
+first: only when that peel reports a cycle are the color's cycles
+cancelled in place (``_cancel_color``) and the color rounded again, so
+an acyclic color is peeled once.  The Fraction-facing functions
+(``cancel_cycles``, ``build_flow_graph``) are adapters that scale to
+integers and call the same rule code; ``round_color_r0/r1/rq1`` check
+their remainder and thief, then round, a cycle being a precondition
+failure there.  Fairness is checked once, where a splitting enters
+(``_search_allocation``, ``verify_continuous``, ``_fair_allocation``),
+and ``_rebuilt_runs`` re-checks what cancellation pushed, so
+``_color_graph`` checks none.
 The q=4 scenario with r_j = 2 where this rounding provably cannot
 help is packaged as ``demonstrate_r2_failure``.
 """
@@ -51,6 +55,7 @@ from .necklace import (
     ContinuousSplitting,
     DiscreteSplitting,
     Necklace,
+    _continuous_violations,
     _discrete_violations,
     _search_allocation,
     _share_violations,
@@ -329,29 +334,39 @@ def cancel_cycles(cont: ContinuousSplitting, neck: Necklace) -> ContinuousSplitt
     clauses (``_fair_allocation``); it may have more cuts than the bound.
     """
     d, alloc = _fair_allocation(cont, neck)
-    runs = _cancel(neck, d, alloc, len(cont.cuts))[1]
-    if runs is None:
+    by_color = _shares_by_color(neck, alloc)
+    # a list, not a generator: every color is cancelled, not only the first
+    if not any([_cancel_color(shares, d) for shares in by_color]):
         return cont
+    runs = _rebuilt_runs(neck, d, alloc, by_color, len(cont.cuts))
     ends = itertools.accumulate(amt for _, amt in runs[:-1])
     return ContinuousSplitting(
         cuts=tuple(Fraction(e, d) for e in ends), owners=tuple(t for t, _ in runs)
     )
 
 
-def _cancel(
-    neck: Necklace, d: int, alloc: Mapping[tuple[int, int], int], cuts: int
-) -> tuple[list[dict[tuple[int, int], int]], list[list[int]] | None]:
-    """``cancel_cycles`` on a ``scaled_allocation``-keyed allocation (units
-    of 1/d) of a splitting with ``cuts`` cuts: every color's shares, cycles
-    cancelled in place, and the checked rebuilt [thief, amount] runs or None."""
-    by_color = _shares_by_color(neck, alloc)
+def _cancel_color(shares: dict[tuple[int, int], int], d: int) -> bool:
+    """Cancel every cycle of one color's sharing graph in place, amounts in
+    units of 1/d, each time the one ``_find_cycle`` finds; whether any was."""
     changed = False
-    for shares in by_color:
-        while (cycle := _find_cycle(_split_edges(shares))) is not None:
-            changed = True
-            _push_around(shares, cycle, d)
-    if not changed:
-        return by_color, None
+    while (cycle := _find_cycle(_split_edges(shares))) is not None:
+        changed = True
+        _push_around(shares, cycle, d)
+    return changed
+
+
+def _rebuilt_runs(
+    neck: Necklace,
+    d: int,
+    alloc: Mapping[tuple[int, int], int],
+    by_color: list[dict[tuple[int, int], int]],
+    cuts: int,
+) -> list[list[int]]:
+    """The [thief, amount] runs of the splitting that ``by_color``, its
+    shares after cancellation, describes: each bead's surviving owners in
+    their order among the keys of ``alloc``, the allocation (units of 1/d)
+    of a splitting with ``cuts`` cuts.  Checked to add no cut and to keep
+    every share fair."""
     runs: list[list[int]] = []
     for t, k in alloc:
         amt = by_color[neck.beads[k - 1] - 1].get((t, k))
@@ -367,13 +382,13 @@ def _cancel(
     )
     if bad:
         raise InternalInvariantError(f"cycle cancellation broke fairness: {bad}")
-    return by_color, runs
+    return runs
 
 
-def _round_color(g: _IntGraph, advantaged: Collection[int]) -> dict[int, int]:
+def _round_color(g: _IntGraph, advantaged: Collection[int]) -> dict[int, int] | None:
     """Bead -> thief by the b-factor b(t) = alpha_t + [t advantaged],
-    b(bead) = 1, once g passes the flow equalities, the forest check and
-    the shape rule of its remainder case g.r.  One leaf peel
+    b(bead) = 1, once g passes the flow equalities and the shape rule of
+    its remainder case g.r; None when g has a cycle.  One leaf peel
     (``find_b_factor``) finds both the cycle and the factor.
 
     It is unique: two different b-factors of a forest would differ on a
@@ -385,9 +400,7 @@ def _round_color(g: _IntGraph, advantaged: Collection[int]) -> dict[int, int]:
         )
     owner, cyclic, stuck = find_b_factor(g.edges, g.alpha, advantaged)
     if cyclic:
-        raise PreconditionError(
-            f"color {g.color}: sharing graph has a cycle; cancel cycles first"
-        )
+        return None
     thieves = range(1, g.q + 1)
     if g.r == 1:
         total_alpha = sum(g.alpha.get(t, 0) for t in thieves)
@@ -408,6 +421,16 @@ def _round_color(g: _IntGraph, advantaged: Collection[int]) -> dict[int, int]:
             f"no b-factor for color {g.color} with advantaged thieves "
             f"{sorted(advantaged)}: the demand of {stuck[0]} {stuck[1]} "
             "cannot be met"
+        )
+    return owner
+
+
+def _round_forest(g: _IntGraph, advantaged: Collection[int]) -> dict[int, int]:
+    """``_round_color``, with a cycle in g a precondition failure."""
+    owner = _round_color(g, advantaged)
+    if owner is None:
+        raise PreconditionError(
+            f"color {g.color}: sharing graph has a cycle; cancel cycles first"
         )
     return owner
 
@@ -435,18 +458,18 @@ def _checked(
 
 def round_color_r0(g: ColorFlowGraph) -> dict[int, int]:
     """Whole-bead assignment for a color with zero remainder."""
-    return _round_color(_checked(g, 0), ())
+    return _round_forest(_checked(g, 0), ())
 
 
 def round_color_r1(g: ColorFlowGraph, chosen: int) -> dict[int, int]:
     """Whole-bead assignment handing the chosen thief one extra bead."""
-    return _round_color(_checked(g, 1, chosen, "chosen thief"), (chosen,))
+    return _round_forest(_checked(g, 1, chosen, "chosen thief"), (chosen,))
 
 
 def round_color_rq1(g: ColorFlowGraph, disadvantaged: int) -> dict[int, int]:
     """Whole-bead assignment leaving only the disadvantaged thief short."""
     others = set(range(1, g.q + 1)) - {disadvantaged}
-    return _round_color(_checked(g, g.q - 1, disadvantaged), others)
+    return _round_forest(_checked(g, g.q - 1, disadvantaged), others)
 
 
 def split_with_advantages(
@@ -461,10 +484,10 @@ def split_with_advantages(
     Requires every color's remainder to lie in {0, 1, q-1}.  Pipeline:
     find a continuous fair splitting (or take the one supplied via
     ``continuous``, which also lets sweeps reuse one search across many
-    advantage assignments), cancel cycles, round each color by its
-    remainder case, and hand every split bead to its matched thief.
-    The result is verified and never uses more cuts than the continuous
-    splitting did.
+    advantage assignments), then round each color by its remainder case,
+    cancelling that color's cycles first only where its peel finds one,
+    and hand every split bead to its matched thief.  The result is
+    verified and never uses more cuts than the continuous splitting did.
     """
     adv = normalize_advantages(neck, advantages)
     q = neck.q
@@ -478,29 +501,50 @@ def split_with_advantages(
         d = q
         _, switches, alloc = _search_allocation(neck, budget)
         cuts = len(switches)
-    elif verify_continuous(neck, continuous):
-        raise PreconditionError("the supplied continuous splitting is not fair")
     else:
+        violations, d, alloc = _continuous_violations(neck, continuous)
+        if violations:
+            raise PreconditionError("the supplied continuous splitting is not fair")
         cuts = len(continuous.cuts)
-        d, alloc = continuous.scaled_allocation(neck)
-    by_color, runs = _cancel(neck, d, alloc, cuts)
-    if runs is not None:
-        cuts = len(runs) - 1
-
-    owner: dict[int, int] = {}
-    for j, shares in enumerate(by_color, start=1):
-        owner.update((k, t) for (t, k), amt in shares.items() if amt == d)
-        owner.update(_round_color(_color_graph(neck, j, d, shares), adv.get(j, ())))
-
-    if sorted(owner) != list(range(1, neck.n + 1)):
-        raise InternalInvariantError("rounding left a bead unassigned")
-    split = DiscreteSplitting(tuple(owner[k] for k in range(1, neck.n + 1)))
+    owner, cuts = _round_allocation(neck, adv, d, alloc, cuts)
+    split = DiscreteSplitting(owner)
     violations = _discrete_violations(neck, adv, split)
     if violations:
         raise InternalInvariantError(f"pipeline output failed checks: {violations}")
     if split.cuts > cuts:
         raise InternalInvariantError(f"rounding increased cuts: {split.cuts} > {cuts}")
     return split
+
+
+def _round_allocation(
+    neck: Necklace,
+    adv: Mapping[int, Collection[int]],
+    d: int,
+    alloc: Mapping[tuple[int, int], int],
+    cuts: int,
+) -> tuple[tuple[int, ...], int]:
+    """``split_with_advantages``'s owner vector from a fair allocation,
+    keyed as by ``scaled_allocation`` in units of 1/d, of a splitting with
+    ``cuts`` cuts, under a normalized advantage assignment; and the cut
+    count of that splitting once its cycles are cancelled.  Each color is
+    rounded first; only when its peel reports a cycle are that color's
+    cycles cancelled, as by ``cancel_cycles``, and the color rounded again."""
+    by_color = _shares_by_color(neck, alloc)
+    cancelled = False
+    owner: dict[int, int] = {}
+    for j, shares in enumerate(by_color, start=1):
+        advantaged = adv.get(j, ())
+        rounded = _round_color(_color_graph(neck, j, d, shares), advantaged)
+        if rounded is None:
+            cancelled = _cancel_color(shares, d) or cancelled
+            rounded = _round_forest(_color_graph(neck, j, d, shares), advantaged)
+        owner.update((k, t) for (t, k), amt in shares.items() if amt == d)
+        owner.update(rounded)
+    if cancelled:
+        cuts = len(_rebuilt_runs(neck, d, alloc, by_color, cuts)) - 1
+    if sorted(owner) != list(range(1, neck.n + 1)):
+        raise InternalInvariantError("rounding left a bead unassigned")
+    return tuple(owner[k] for k in range(1, neck.n + 1)), cuts
 
 
 @dataclass(frozen=True)

@@ -155,8 +155,7 @@ def run_cli_capped(
 def first_owner_list_rule(
     beads: Sequence[int],
     target: Sequence[Sequence[int]],
-    min_cuts: int,
-    max_cuts: int,
+    schedule: Iterable[tuple[int, int]],
     budget: int,
 ) -> tuple[int, ...] | None:
     """``necklace._first_owner`` with the list twin rule: the oracle for it.
@@ -175,7 +174,8 @@ def first_owner_list_rule(
     orders.append(list(range(q)))
     nodes = 0
 
-    for limit in range(min_cuts, max_cuts + 1):
+    for limit, stop in schedule:
+        stop = min(stop, budget)
         owed = [list(row) for row in target]
         left = totals[:]
         owing = sum(1 for x in left if x)
@@ -192,9 +192,11 @@ def first_owner_list_rule(
                 return tuple(t + 1 for t in held[1:])
             k = tried[d]
             if k == 0:
+                if nodes >= stop:
+                    if stop == budget:
+                        raise _out_of_budget(budget)
+                    break
                 nodes += 1
-                if nodes > budget:
-                    raise _out_of_budget(budget)
             if k == q:
                 if d == 0:
                     break

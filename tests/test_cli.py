@@ -460,6 +460,19 @@ def test_split_necklace_q_in_the_thousands_fits_in_512_mb():
     assert verify_discrete(Necklace((1,), 5000), {1: [1]}, DiscreteSplitting(owner)) == []
 
 
+def test_split_necklace_two_colors_at_q_1000_exits_0_quickly():
+    # only (q-1)m cuts split [1, 2] fairly: the search must start at that
+    # bound, not try every smaller cut limit first
+    inst = json.dumps({
+        "kind": "necklace", "colors": [1, 2], "q": 1000,
+        "advantages": {"1": [1], "2": [2]},
+    })
+    code, out, err, elapsed = run_cli_capped(["split-necklace", "--input", "-"], inst)
+    assert code == 0 and "Traceback" not in err, err
+    assert json.loads(out)["owner"] == [1, 2]
+    assert elapsed < 10.0
+
+
 def test_split_necklace_on_a_600_bead_sharing_path_exits_0():
     # the sharing graph is one path of 1200 edges; cycle cancellation must
     # cross it without a recursion frame per vertex

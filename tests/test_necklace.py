@@ -5,6 +5,7 @@ owner vectors; the continuous searcher's outputs are re-verified with
 exact rational arithmetic and pinned to hand-derived cut positions.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from fairsplit.necklace import (
     ContinuousSplitting,
     DiscreteSplitting,
     Necklace,
+    _continuous_schedule,
     _first_owner,
     normalize_advantages,
     remainders,
@@ -193,31 +195,50 @@ def first_owner_outcome(search, *args):
         return str(exc)
 
 
+def fewest_first(limits, budget):
+    """``search_discrete``'s schedule: each cut limit with the whole budget."""
+    return [(c, budget) for c in limits]
+
+
 def test_first_owner_twin_rule_matches_list_rule():
     # the same owner vector, or the same budget stop, as the rule that
     # checks every lower twin; on the necklace's own floor/ceil targets
-    # for every advantage assignment and on the q-refined targets
-    cases = stops = 0
+    # for every advantage assignment, fewest cuts first, and on the
+    # q-refined targets under the continuous schedule, whose half-budget
+    # bound phase the budget of 25 sometimes stops, so that the fewest-first
+    # fallback runs and its outcome is compared too
+    cases = stops = fallbacks = 0
     for n in range(1, 7):
         for colors in canonical_colorings(n, 3):
             for q in (2, 3, 4):
                 neck = Necklace(colors, q)
                 refined = [c for c in colors for _ in range(q)]
-                searches = [(refined, [neck.a] * q, q - 1, (q - 1) * neck.m)]
+                searches = [(
+                    refined, [neck.a] * q,
+                    functools.partial(_continuous_schedule, len(refined), q, neck.m),
+                )]
+                limits = range(min((q - 1) * neck.m, n - 1) + 1)
                 for spec in advantage_specs(neck):
                     target = [
                         [aj // q + (t in spec.get(j, ())) for j, aj in enumerate(neck.a, 1)]
                         for t in range(1, q + 1)
                     ]
-                    searches.append((colors, target, 0, min((q - 1) * neck.m, n - 1)))
-                for args in searches:
+                    searches.append((colors, target, functools.partial(fewest_first, limits)))
+                for beads, target, schedule in searches:
                     for budget in (3, 25, 400, 3_000):
-                        got = first_owner_outcome(_first_owner, *args, budget)
-                        want = first_owner_outcome(first_owner_list_rule, *args, budget)
-                        assert got == want, (colors, q, args[1], budget)
+                        args = (beads, target, list(schedule(budget)), budget)
+                        got = first_owner_outcome(_first_owner, *args)
+                        want = first_owner_outcome(first_owner_list_rule, *args)
+                        assert got == want, (colors, q, target, budget)
                         cases += 1
                         stops += isinstance(want, str)
-    assert cases > 10_000 and 0 < stops < cases
+                        # the bound phase alone stops short of an answer
+                        phase = args[2][:1]
+                        fallbacks += (
+                            phase[0][1] < budget
+                            and _first_owner(beads, target, phase, budget) is None
+                        )
+    assert cases > 10_000 and 0 < stops < cases and fallbacks > 0
 
 
 # === continuous splittings ===
@@ -323,7 +344,8 @@ def test_search_continuous_goldens():
 
 
 def test_search_continuous_verified_sweep():
-    for n in range(1, 6):
+    # at most (q-1)m cuts: the bound searched first, or fewest cuts first
+    for n in range(1, 7):
         for colors in canonical_colorings(n, 3):
             for q in (2, 3, 4):
                 neck = Necklace(colors, q)

@@ -593,7 +593,7 @@ def test_peel_matches_the_flow_oracle_on_random_forests():
     assert min(seen.values()) > 1000, seen
 
 
-def test_is_forest_matches_union_find_on_random_graphs():
+def test_peel_and_find_cycle_match_union_find_on_random_graphs():
     rng = random.Random(1123)
     seen = {True: 0, False: 0}
     for _ in range(3000):
@@ -855,6 +855,69 @@ def test_pipeline_matches_public_stages_on_sweep():
                         cases += 1
                     cancelled += cont is not None and cancel_cycles(cont, neck) is not cont
     assert cases > 4000 and cancelled >= 10 and rejected > 40
+
+
+def sharing_path(n):
+    """The fair split of n one-color beads among n+1 thieves in which thief
+    t owns [n(t-1)/(n+1), nt/(n+1)]: bead k is shared by thieves k and k+1."""
+    neck = Necklace((1,) * n, n + 1)
+    cont = ContinuousSplitting(
+        cuts=tuple(F(n * k, n + 1) for k in range(1, n + 1)), owners=range(1, n + 2)
+    )
+    return neck, cont
+
+
+def test_pipeline_matches_two_pass_reference_on_cyclic_input():
+    # rounding first and cancelling only where a color's peel finds a cycle
+    # gives the owners of cancelling every color first: on the long sharing
+    # paths and on 1/(2q) pieces, full of cycles, whose cut count is over
+    # the bound (``split_with_advantages`` rejects those, so its core takes
+    # their allocation directly)
+    rng = random.Random(5)
+    supplied = [sharing_path(600), sharing_path(900)]
+    for n in range(1, 5):
+        for colors in canonical_colorings(n, 2):
+            for q in (2, 3):
+                neck = Necklace(colors, q)
+                supplied.append((neck, halves_of_shares(neck, rng)))
+    cases = cyclic = over = 0
+    for neck, cont in supplied:
+        reference = pipeline_reference(neck, cont)
+        fits = verify_continuous(neck, cont) == []
+        for spec in itertools.islice(admissible_specs(neck), 8):
+            if fits:
+                owner = split_with_advantages(neck, spec, continuous=cont).owner
+            else:
+                d, alloc = cont.scaled_allocation(neck)
+                adv = normalize_advantages(neck, spec)
+                owner, _ = rounding._round_allocation(neck, adv, d, alloc, len(cont.cuts))
+            assert owner == reference(spec)[0], (neck, spec, cont)
+            cases += 1
+        cyclic += cancel_cycles(cont, neck) is not cont
+        over += not fits
+    assert cases > 100 and cyclic > 20 and over > 20
+
+
+def test_pipeline_peels_an_acyclic_color_once(monkeypatch):
+    # each color's sharing graph is a path of 4 edges or more, so a cycle
+    # search would have to peel it; the pipeline's one peel finds the factor
+    # and that there is no cycle
+    neck = Necklace((1, 1, 1, 2, 2, 2), 4)
+    cont = search_continuous(neck)
+    for j in (1, 2):
+        g = build_flow_graph(cont, neck, j)
+        assert len(g.edges) >= 4 and union_find_is_forest(g.edges), (j, g.edges)
+    calls = []
+    original = rounding._peel
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rounding, "_peel", counted)
+    split = split_with_advantages(neck, {1: [4, 1, 2], 2: [2, 3, 4]}, continuous=cont)
+    assert verify_discrete(neck, {1: [4, 1, 2], 2: [2, 3, 4]}, split) == []
+    assert len(calls) == neck.m
 
 
 # === the r=2 wall ===

@@ -193,7 +193,7 @@ def test_alt_bounded_by_support_with_equality_iff_alternating():
         assert (runs[code] == len(nonzero)) == strictly_alternating
 
 
-def test_runs_match_scalar_alt_and_first_sign_up_to_n6():
+def test_runs_match_alt_oracle_and_first_sign_up_to_n6():
     for n in range(7):
         runs, signed = _runs(n)
         assert runs.dtype == np.int16 and signed.dtype == np.int32
@@ -263,7 +263,7 @@ def test_input_checks_name_the_fault(build, message):
 
 # === J ===
 
-def test_compute_J_goldens():
+def test_saturation_goldens():
     # j' = max J(x): J(+-00) = J(++00) = {1}, J(0000) is empty
     jprime = _saturation(((1, 2), (3, 4)), 4)[0]
     assert jprime[code_of("+-00")] == 1
@@ -271,7 +271,7 @@ def test_compute_J_goldens():
     assert jprime[code_of("++00")] == 1
 
 
-def test_compute_J_matches_oracle_and_negation_invariant():
+def test_saturation_matches_J_oracle_and_negation_invariant():
     # j' = max J(x), and negating x keeps J(x) and flips its label's sign
     neg = _negation_table(4)
     for classes in set_partitions(4):
@@ -295,19 +295,19 @@ def test_J_empty_is_downward_closed():
 
 # === t ===
 
-def test_compute_t_goldens():
+def test_lambda_table_t_goldens():
     assert lambda_table(((1,),))[1] == 0
     assert lambda_table(((1, 2),))[1] == 1
     assert lambda_table(((1, 2), (3, 4)))[1] == 2
 
 
-def test_compute_t_matches_oracle():
+def test_lambda_table_t_matches_oracle():
     for n in range(1, 5):
         for classes in set_partitions(n):
             assert lambda_table(classes)[1] == t_oracle(classes), classes
 
 
-def test_compute_t_rejects_oversize():
+def test_lambda_table_rejects_oversize():
     with pytest.raises(InstanceTooLargeError):
         lambda_table(tuple((i,) for i in range(1, 14)))
 
