@@ -18,7 +18,7 @@ import math
 import random
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import (
     NODE_BUDGET,
@@ -162,10 +162,93 @@ def _random_coloring(
             f"{budget} search nodes; this bounds effort, it does not mean no "
             "split exists"
         )
-    # randrange(k) + 1 draws from the stream of randint(1, k), with less overhead
-    raw = [rng.randrange(max_m) + 1 for _ in range(n)]
+    # the loop of randrange(max_m), inlined: k-bit draws until one falls
+    # below max_m, so each color comes from the stream of randint(1, max_m)
+    getrandbits = rng.getrandbits
+    k = max_m.bit_length()
     relabel: dict[int, int] = {}
-    return tuple(relabel.setdefault(c, len(relabel) + 1) for c in raw)
+    colors = []
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= max_m:
+            r = getrandbits(k)
+        colors.append(relabel.setdefault(r, len(relabel) + 1))
+    return tuple(colors)
+
+
+def _sampled(
+    rng: random.Random, count: int, max_n: int, max_m: int, budget: int, least: int
+) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """(coloring, 1, False) for each of ``count`` draws that meets the q-1 rule.
+
+    Each coloring is drawn when the scan reaches it and counted in one
+    pass, as a sampled path may hold many colors.
+    """
+    for _ in range(count):
+        colors = _random_coloring(rng, max_n, max_m, budget)
+        sizes = [0] * (max(colors) + 1)
+        for c in colors:
+            sizes[c] += 1
+        if min(sizes[1:]) >= least:
+            yield colors, 1, False
+
+
+def _mirror(colors: tuple[int, ...]) -> tuple[int, ...]:
+    """The reverse of ``colors``, its colors renumbered by first occurrence."""
+    names: dict[int, int] = {}
+    # a list first: a tuple grown from a generator is shrunk at the end
+    return tuple([names.setdefault(c, len(names) + 1) for c in reversed(colors)])
+
+
+def _orbits(n: int, max_m: int, least: int) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """(coloring, weight, twin), one per orbit of relabeling × reversal.
+
+    The orbits are those of the colorings of n vertices with at most
+    ``max_m`` colors, each used ``least`` times or more.  A canonical
+    coloring stands for its orbit when its mirror is not smaller.  It
+    weighs m! for m colors when it is its own mirror; else the orbit
+    holds its mirror as a twin, and it weighs 2·m!.
+    """
+    weights = [math.factorial(m) for m in range(min(max_m, n) + 1)]
+    for colors in iter_canonical_colorings(n, max_m, least):
+        # build the mirror only as far as it takes to tell it from colors
+        names: dict[int, int] = {}
+        for c, own in zip(reversed(colors), colors):
+            mirrored = names.setdefault(c, len(names) + 1)
+            if mirrored != own:
+                if mirrored > own:
+                    yield colors, 2 * weights[max(colors)], True
+                break
+        else:
+            yield colors, weights[len(names)], False
+
+
+def _colorings_count(n: int, max_m: int) -> int:
+    """The colorings of n vertices with at most ``max_m`` colors, each used.
+
+    m!·S(n, m) of them use exactly m colors: the maps onto m colors,
+    counted by inclusion and exclusion.
+    """
+    return sum(
+        (-1) ** k * math.comb(m, k) * (m - k) ** n
+        for m in range(1, min(max_m, n) + 1)
+        for k in range(m + 1)
+    )
+
+
+def _split_exists(colors: tuple[int, ...], twin: bool, q: int, budget: int) -> bool:
+    """The verdict on ``colors``, from its twin when its own search runs out of budget."""
+    try:
+        return qstable_split_exists(colors, q, budget=budget)
+    except BudgetExceededError as exc:
+        stop = exc
+    if twin:
+        try:
+            return qstable_split_exists(_mirror(colors), q, budget=budget)
+        except BudgetExceededError:
+            pass
+    # a budget stop decides nothing, so it is never a counterexample
+    raise BudgetExceededError(f"{stop}; stopped on colors {list(colors)}") from stop
 
 
 def _relabelings(colors: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -178,53 +261,46 @@ def _relabelings(colors: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def cmd_conjecture_scan(args: argparse.Namespace) -> dict[str, Any]:
     q, max_n, max_m = args.q, args.max_n, args.max_m
+    # removing q-1 vertices per color needs that many to exist
+    least = q - 1
 
-    # each batch holds (coloring, weight) pairs: in exhaustive mode one
-    # canonical coloring stands for its weight of m! relabelings, which
-    # share its verdict, as stability, balance and every per-color rule
-    # are blind to the names of the colors
+    # each batch covers a count of colorings and holds (coloring, weight,
+    # twin) triples for those that meet the q-1 rule: in exhaustive mode
+    # one coloring stands for its weight of relabelings and their
+    # reverses, which share its verdict, as stability, balance and every
+    # per-color rule are blind to the names of the colors and to the
+    # direction of the path
     if args.samples is not None:
         rng = random.Random(args.seed)
-        # each sample is drawn when the scan reaches it
         batches = (
-            (f"sample batch {i // 250 + 1}",
-             ((_random_coloring(rng, max_n, max_m, args.budget), 1)
-              for _ in range(min(250, args.samples - i))))
+            (f"sample batch {i // 250 + 1}", min(250, args.samples - i),
+             _sampled(rng, min(250, args.samples - i), max_n, max_m, args.budget, least))
             for i in range(0, args.samples, 250)
         )
         mode = "random"
     else:
         batches = (
-            (f"n={n}", ((c, math.factorial(max(c)))
-                        for c in iter_canonical_colorings(n, max_m)))
+            (f"n={n}", _colorings_count(n, max_m), _orbits(n, max_m, least))
             for n in range(1, max_n + 1)
         )
         mode = "exhaustive"
 
     scanned = found = skipped = 0
     missing: list[tuple[int, ...]] = []
-    for label, batch in batches:
-        for colors, weight in batch:
-            # removing q-1 vertices per color needs that many to exist;
-            # one counting pass, as a sampled path may hold many colors
-            sizes = [0] * (max(colors) + 1)
-            for c in colors:
-                sizes[c] += 1
-            if min(sizes[1:]) < q - 1:
-                skipped += weight
-                continue
-            scanned += weight
-            try:
-                exists = qstable_split_exists(colors, q, budget=args.budget)
-            except BudgetExceededError as exc:
-                # a budget stop decides nothing, so it is never a counterexample
-                raise BudgetExceededError(
-                    f"{exc}; stopped on colors {list(colors)}"
-                ) from exc
-            if exists:
+    for label, covered, batch in batches:
+        weighed = 0
+        for colors, weight, twin in batch:
+            weighed += weight
+            if _split_exists(colors, twin, q, args.budget):
                 found += weight
+            elif mode == "exhaustive":
+                missing.extend(_relabelings(colors))
+                if twin:
+                    missing.extend(_relabelings(_mirror(colors)))
             else:
-                missing.extend(_relabelings(colors) if mode == "exhaustive" else [colors])
+                missing.append(colors)
+        scanned += weighed
+        skipped += covered - weighed
         print(
             f"{label}: scanned={scanned} found={found} skipped={skipped}",
             file=sys.stderr,
@@ -326,7 +402,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--seed", type=int, default=0, help="seed for --samples (default 0)")
     p.add_argument("--budget", type=_positive_int, default=NODE_BUDGET, metavar="N",
                    help=f"search nodes per path (default {NODE_BUDGET}); running "
-                        f"out stops the scan with exit 5")
+                        f"out stops the scan with exit 5, in exhaustive mode only "
+                        f"once the path's reverse runs out too")
 
     return parser, sub.choices
 

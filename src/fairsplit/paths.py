@@ -613,7 +613,9 @@ def _power2_classes(
         _power2_classes(part, [colors[i] for i in side], m, q // 2, budget, out)
 
 
-def iter_canonical_colorings(n: int, max_m: int) -> Iterator[tuple[int, ...]]:
+def iter_canonical_colorings(
+    n: int, max_m: int, least: int = 1
+) -> Iterator[tuple[int, ...]]:
     """One coloring per class of color relabelings, as restricted growth strings.
 
     A coloring is canonical when its colors are numbered by first
@@ -622,25 +624,47 @@ def iter_canonical_colorings(n: int, max_m: int) -> Iterator[tuple[int, ...]]:
     the colors holds exactly one canonical member, its lexicographically
     smallest, so with exactly m colors there are S(n, m) (Stirling
     numbers of the second kind) of them, each standing for m! colorings.
-    As in the product of all m^n colorings, m ascends and each m runs in
+    Only colorings that use every color at least ``least`` times come;
+    the default, 1, keeps them all, as does any smaller value.  As in
+    the product of all m^n colorings, m ascends and each m runs in
     lexicographic order; the colorings come as tuples, so callers build
     no path for those they skip.
+
+    A depth-first search on an explicit stack gives vertex after vertex
+    its color, smallest first.  It tracks what the colors still owe, the
+    vertices each needs to reach ``least``, unused colors included; a
+    vertex may take a color that owes nothing only while more vertices
+    remain than are owed, so every branch it enters ends in a coloring.
     """
-    for m in range(1, min(max_m, n) + 1):
-        # the smallest string: ones, then each new color once at the end
-        colors = [1] * (n - m + 1) + list(range(2, m + 1))
-        top = list(itertools.accumulate(colors, max))  # top[i] = max(colors[:i+1])
-        while True:
-            yield tuple(colors)
-            # the rightmost vertex that may take a larger color; the
-            # colors after it can then still bring in every unused one
-            i = n - 1
-            while i > 0 and (colors[i] > top[i - 1] or colors[i] == m):
+    least = max(least, 1)
+    for m in range(1, min(max_m, n // least) + 1):
+        colors = [0] * n  # 0: vertex i has tried no color yet
+        counts = [0] * (m + 1)
+        tops = [0] * (n + 1)  # tops[i]: the largest color among colors[:i]
+        owed = m * least
+        i = 0
+        while i >= 0:
+            c = colors[i]
+            if c:  # take back the color vertex i holds
+                counts[c] -= 1
+                if counts[c] < least:
+                    owed += 1
+            top = tops[i]
+            c += 1
+            if owed >= n - i:
+                # no vertex to spare: only a color that owes may come
+                while c <= top and counts[c] >= least:
+                    c += 1
+            if c > top + 1 or c > m:
+                colors[i] = 0
                 i -= 1
-            if i == 0:
-                break
-            colors[i] += 1
-            used = max(top[i - 1], colors[i])
-            colors[i + 1 :] = [1] * (n - 1 - i - (m - used)) + list(range(used + 1, m + 1))
-            for k in range(i, n):
-                top[k] = max(top[k - 1], colors[k])
+                continue
+            colors[i] = c
+            counts[c] += 1
+            if counts[c] <= least:
+                owed -= 1
+            if i == n - 1:
+                yield tuple(colors)
+            else:
+                i += 1
+                tops[i] = c if c > top else top

@@ -9,7 +9,9 @@ verifier.
 import importlib
 import importlib.util
 import io
+import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -19,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from fairsplit import cli, paths, rounding
-from fairsplit.cli import _random_coloring, build_parser, main
-from fairsplit.errors import SchemaError
+from fairsplit.cli import _colorings_count, _random_coloring, build_parser, main
+from fairsplit.errors import BudgetExceededError, SchemaError
 from fairsplit.jsonio import (
     cycle_split_from_json,
     loads_instance,
@@ -36,7 +38,7 @@ from fairsplit.paths import (
     verify_pair_split,
     verify_qstable_split,
 )
-from helpers import iter_colorings, run_cli_capped
+from helpers import canonical_colorings, iter_colorings, run_cli_capped
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -679,8 +681,9 @@ def test_conjecture_scan_random(capsys):
 
 
 def test_random_coloring_matches_randint_draws():
-    # randrange(k) + 1 draws from the same stream as randint(1, k), so
-    # each --seed keeps the colorings it scanned before
+    # the inlined k-bit rejection loop draws from the same stream as
+    # randint(1, k), so each --seed keeps the colorings it scanned before;
+    # a power of two such as max_m = 1, 4 or 8 rejects half its draws
     def reference(rng, max_n, max_m):
         n = rng.randint(1, max_n)
         raw = [rng.randint(1, max_m) for _ in range(n)]
@@ -688,7 +691,7 @@ def test_random_coloring_matches_randint_draws():
         return tuple(relabel.setdefault(c, len(relabel) + 1) for c in raw)
 
     for seed in range(50):
-        for max_n, max_m in ((12, 3), (12, 2), (6, 1), (30, 7)):
+        for max_n, max_m in ((12, 3), (12, 2), (6, 1), (30, 7), (20, 1), (20, 4), (30, 8)):
             got, want = random.Random(seed), random.Random(seed)
             assert [_random_coloring(got, max_n, max_m) for _ in range(20)] == [
                 reference(want, max_n, max_m) for _ in range(20)
@@ -737,8 +740,37 @@ def test_conjecture_scan_budget_stop_names_first_coloring(capsys):
         "conjecture-scan", "--q", "3", "--max-n", "12", "--max-m", "3", "--budget", "100",
     )
     assert code == 5
-    assert err.splitlines()[-2] == "n=8: scanned=4093 found=4093 skipped=4743"
-    assert err.rstrip().endswith("stopped on colors [1, 1, 2, 1, 2, 2, 1, 2, 2]")
+    # the oracle walks every canonical coloring in scan order, each color
+    # used twice or more, and decides it by its own search or, when that
+    # stops, by the search on its reverse; the scan stops on the first
+    # coloring where both stop
+    progress, stop = [], None
+    scanned = found = skipped = 0
+    for n in range(1, 13):
+        for colors in sorted(canonical_colorings(n, 3), key=lambda c: (max(c), c)):
+            weight = math.factorial(max(colors))
+            if min(map(colors.count, set(colors))) < 2:
+                skipped += weight
+                continue
+            verdicts = []
+            for path in (colors, colors[::-1]):
+                try:
+                    verdicts.append(qstable_split_exists(path, 3, budget=100))
+                    break
+                except BudgetExceededError:
+                    pass
+            if not verdicts:
+                stop = colors
+                break
+            scanned += weight
+            found += weight * verdicts[0]
+        if stop:
+            break
+        progress.append(f"n={n}: scanned={scanned} found={found} skipped={skipped}")
+    assert scan_progress(err) == progress
+    assert progress[-1] == "n=10: scanned=58047 found=58047 skipped=26453"
+    assert err.rstrip().endswith(f"stopped on colors {list(stop)}")
+    assert stop == (1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1)
 
 
 def scan_oracle(q, max_n, max_m, solve):
@@ -795,16 +827,96 @@ def test_conjecture_scan_lists_every_relabeling_of_a_counterexample(capsys, monk
     monkeypatch.setattr("fairsplit.cli.qstable_split_exists", stub)
     code, out, err = run(capsys, "conjecture-scan", "--q", "2", "--max-n", "6", "--max-m", "3")
     assert code == 0
-    scanned_classes = len(calls)
+    scanned_orbits = len(calls)
     calls.clear()
     answer, progress = scan_oracle(2, 6, 3, lambda path, q: stub(path.colors, q) or None)
     assert out == answer
     assert scan_progress(err) == progress
     assert len(out["counterexamples"]) == 10 * 2 + 60 * 6
-    # one search per class of relabelings, S(n, 1) + S(n, 2) + S(n, 3)
-    # at each n = 1..6, rather than one per coloring
-    assert scanned_classes == sum([1, 2, 5, 14, 41, 122]) < out["scanned"]
+    # one search per orbit of relabeling and reversal at each n = 1..6,
+    # rather than one per coloring or per class of relabelings
+    orbits = [len({min(orbit(c)) for c in canonical_colorings(n, 3)}) for n in range(1, 7)]
+    assert orbits == [1, 2, 4, 10, 25, 70]
+    assert scanned_orbits == sum(orbits) == 112 < out["scanned"]
     assert len(calls) == out["scanned"]
+
+
+def orbit(colors):
+    """Every coloring that relabels ``colors`` or its reverse."""
+    return {
+        tuple(perm[c - 1] for c in path)
+        for path in (colors, colors[::-1])
+        for perm in itertools.permutations(range(1, max(colors) + 1))
+    }
+
+
+def test_conjecture_scan_searches_the_smallest_coloring_of_each_orbit(capsys, monkeypatch):
+    calls = []
+
+    def stub(colors, q, **kwargs):
+        calls.append(colors)
+        return qstable_split_exists(colors, q, **kwargs)
+
+    monkeypatch.setattr("fairsplit.cli.qstable_split_exists", stub)
+    code, out, _ = run(capsys, "conjecture-scan", "--q", "3", "--max-n", "8", "--max-m", "3")
+    assert code == 0
+    # the smallest member of every orbit whose colors are used twice or
+    # more, with the number of colorings in the orbit
+    smallest = {}
+    for n in range(1, 9):
+        for colors in canonical_colorings(n, 3):
+            if min(map(colors.count, set(colors))) >= 2:
+                members = orbit(colors)
+                smallest[min(members)] = len(members)
+    assert calls == sorted(smallest, key=lambda c: (len(c), max(c), c))
+    # the weights, m! or 2·m!, add up to the colorings the oracle scans
+    answer, _ = scan_oracle(3, 8, 3, lambda path, q: True)
+    assert out["scanned"] == sum(smallest.values()) == answer["scanned"]
+
+
+# (1, 1, 1, 2, 2) stands for its orbit; its mirror is (1, 1, 2, 2, 2)
+ORBIT_SCAN = ("conjecture-scan", "--q", "3", "--max-n", "6", "--max-m", "2")
+
+
+def stop_on(monkeypatch, stopped):
+    """Make the scan's search run out of budget on the colorings ``stopped``."""
+    calls = []
+
+    def stub(colors, q, **kwargs):
+        calls.append(colors)
+        if colors in stopped:
+            raise BudgetExceededError("out of budget")
+        return qstable_split_exists(colors, q, **kwargs)
+
+    monkeypatch.setattr("fairsplit.cli.qstable_split_exists", stub)
+    return calls
+
+
+def test_conjecture_scan_budget_stop_is_retried_on_the_mirror(capsys, monkeypatch):
+    want = run(capsys, *ORBIT_SCAN)
+    calls = stop_on(monkeypatch, {(1, 1, 1, 2, 2)})
+    assert run(capsys, *ORBIT_SCAN) == want
+    assert want[0] == 0 and want[1]["found"] == want[1]["scanned"]
+    assert calls.count((1, 1, 1, 2, 2)) == calls.count((1, 1, 2, 2, 2)) == 1
+
+
+def test_conjecture_scan_budget_stop_on_both_orientations_names_the_first(capsys, monkeypatch):
+    _, _, full = run(capsys, *ORBIT_SCAN)
+    stop_on(monkeypatch, {(1, 1, 1, 2, 2), (1, 1, 2, 2, 2)})
+    code, _, err = run(capsys, *ORBIT_SCAN)
+    assert code == 5
+    assert scan_progress(err) == scan_progress(full)[:4]
+    assert err.rstrip().endswith("out of budget; stopped on colors [1, 1, 1, 2, 2]")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_colorings_count_matches_brute_force(n):
+    onto = [
+        sum(len(set(c)) == m for c in itertools.product(range(1, m + 1), repeat=n))
+        for m in range(0, 6)
+    ]
+    for max_m in range(1, 6):
+        assert _colorings_count(n, max_m) == sum(onto[1 : max_m + 1])
 
 
 def test_conjecture_scan_lists_relabelings_in_scan_order(capsys, monkeypatch, caplog):

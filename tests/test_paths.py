@@ -608,3 +608,18 @@ def test_canonical_colorings_one_per_relabeling_class(n):
         # the order of iter_colorings: m ascending, then lexicographic
         assert got == sorted(got, key=lambda c: (max(c), c))
 
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_canonical_colorings_with_every_color_used_least_times(n):
+    # the helpers' restricted growth strings, filtered by class sizes and
+    # put in the order of iter_colorings: m ascending, then lexicographic
+    every = sorted(canonical_colorings(n, 4), key=lambda c: (max(c), c))
+    for max_m in range(1, 5):
+        for least in range(1, 5):
+            want = [
+                c for c in every
+                if max(c) <= max_m and min(map(c.count, set(c))) >= least
+            ]
+            assert list(iter_canonical_colorings(n, max_m, least)) == want, (max_m, least)
+    # every coloring uses each of its colors at least once
+    assert list(iter_canonical_colorings(n, 4, 0)) == list(iter_canonical_colorings(n, 4))
