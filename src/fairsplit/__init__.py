@@ -47,7 +47,6 @@ from .necklace import (
     DiscreteSplitting,
     Necklace,
     normalize_advantages,
-    remainders,
     search_continuous,
     search_discrete,
     verify_continuous,
@@ -131,7 +130,6 @@ __all__ = [
     "normalize_advantages",
     "pair_split_from_json",
     "pair_split_to_json",
-    "remainders",
     "round_color_r0",
     "round_color_r1",
     "round_color_rq1",

@@ -182,7 +182,11 @@ def _sampled(
     """(coloring, 1, False) for each of ``count`` draws that meets the q-1 rule.
 
     Each coloring is drawn when the scan reaches it and counted in one
-    pass, as a sampled path may hold many colors.
+    pass, as a sampled path may hold many colors.  The count restates the
+    q-1 rule that ``qstable_split_exists`` checks on each kept draw, but
+    is cheaper than catching that check's PreconditionError: 20,000 draws
+    (seed 1, q=5, max-n 12, max-m 2; 73% fail the rule) took 8.40 -> 9.14
+    and 7.51 -> 8.40 us each on a 2-core machine; at q=3 two runs disagreed.
     """
     for _ in range(count):
         colors = _random_coloring(rng, max_n, max_m, budget)

@@ -28,7 +28,7 @@ units of 1/d, d the lcm of the cut denominators.  The
 search's own split is built and checked once, as its owner vector and
 an allocation in units of 1/q (``_search_allocation``), which both
 ``search_continuous`` and the rounding pipeline use; fractions.Fraction
-appears only at the public boundary (cuts and ``allocation``).
+appears only at the public boundary, in the cuts.
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ class Necklace:
         return tuple(aj % self.q for aj in self.a)
 
 
-def remainders(neck: Necklace) -> dict[int, int]:
-    """Per color, the remainder of a_j divided by q."""
-    return {j + 1: rj for j, rj in enumerate(neck.r)}
-
-
 AdvantageSpec = Mapping[int, Iterable[int]]
 
 
@@ -108,15 +103,15 @@ def normalize_advantages(
     integers (a color key may be a string like "1"), each color named once.
     """
     given = {} if advantages is None else dict(advantages)
-    r = remainders(neck)
     out: dict[int, frozenset[int]] = {}
     for key, thieves in given.items():
         j = _index(key, "advantage colors")
         if j in out:
             raise SchemaError(f"color {j} is named twice in the advantages")
-        if j not in r:
+        if not 1 <= j <= neck.m:
             raise SchemaError(f"color {j} does not exist")
-        if r[j] == 0:
+        rj = neck.r[j - 1]
+        if rj == 0:
             raise SchemaError(
                 f"color {j} has remainder 0 and admits no advantaged thieves"
             )
@@ -126,12 +121,12 @@ def normalize_advantages(
             raise SchemaError(f"duplicate thieves in the advantage list of color {j}")
         if not all(1 <= t <= neck.q for t in ts):
             raise SchemaError(f"advantaged thieves of color {j} must lie in 1..{neck.q}")
-        if len(ts) != r[j]:
+        if len(ts) != rj:
             raise SchemaError(
-                f"color {j} needs exactly r_j={r[j]} advantaged thieves, got {len(ts)}"
+                f"color {j} needs exactly r_j={rj} advantaged thieves, got {len(ts)}"
             )
         out[j] = ts
-    missing = [j for j, rj in r.items() if rj != 0 and j not in out]
+    missing = [j for j, rj in enumerate(neck.r, start=1) if rj != 0 and j not in out]
     if missing:
         raise SchemaError(f"missing advantaged thieves for colors {missing}")
     return out
@@ -369,11 +364,6 @@ class ContinuousSplitting:
                 if amt > 0:
                     alloc[(owner, k)] = alloc.get((owner, k), 0) + amt
         return d, alloc
-
-    def allocation(self, neck: Necklace) -> dict[tuple[int, int], Fraction]:
-        """(thief, bead) -> amount of the bead the thief receives."""
-        d, alloc = self.scaled_allocation(neck)
-        return {key: Fraction(amt, d) for key, amt in alloc.items()}
 
 
 def verify_continuous(neck: Necklace, cont: ContinuousSplitting) -> list[str]:

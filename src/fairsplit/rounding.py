@@ -24,18 +24,17 @@ the cycle a sorted depth-first search closes first.
 advantage assignment whose remainders all lie in {0, 1, q-1}.  It runs
 on one integer core: one allocation in units of 1/d (d = q for the
 search's own split) and, per color, an integer sharing graph
-(``_IntGraph``) that one routine, ``_round_color``, checks (``_flow_ok``)
-and rounds with one peel whatever its remainder.  It rounds each color
-first: only when that peel reports a cycle are the color's cycles
-cancelled in place (``_cancel_color``) and the color rounded again, so
-an acyclic color is peeled once.  The Fraction-facing functions
-(``cancel_cycles``, ``build_flow_graph``) are adapters that scale to
-integers and call the same rule code; ``round_color_r0/r1/rq1`` check
-their remainder and thief, then round, a cycle being a precondition
-failure there.  Fairness is checked once, where a splitting enters
-(``_search_allocation``, ``verify_continuous``, ``_fair_allocation``),
-and ``_rebuilt_runs`` re-checks what cancellation pushed, so
-``_color_graph`` checks none.
+(``_IntGraph``) that ``_round_color`` rounds with one peel whatever its
+remainder; only when that peel reports a cycle are the color's cycles
+cancelled in place (``_cancel_color``) and the color rounded again.
+``cancel_cycles`` and ``build_flow_graph`` scale their Fraction-facing
+input to integers and call the same rule code.  Fairness is checked
+once, where a splitting enters (``_search_allocation``,
+``verify_continuous``, ``_fair_allocation``), and ``_rebuilt_runs``
+re-checks what cancellation pushed, so a graph that ``_color_graph``
+builds meets the flow equalities by construction.  Only a graph from
+outside, passed to ``round_color_r0/r1/rq1``, is checked (``_checked``,
+``_flow_ok``), a cycle being a precondition failure there.
 The q=4 scenario with r_j = 2 where this rounding provably cannot
 help is packaged as ``demonstrate_r2_failure``.
 """
@@ -60,7 +59,6 @@ from .necklace import (
     _search_allocation,
     _share_violations,
     normalize_advantages,
-    remainders,
     search_continuous,  # noqa: F401  not called here; perfbench/tracing.py patches it
     verify_continuous,
     verify_discrete,  # noqa: F401  not called here; perfbench/tracing.py patches it
@@ -80,14 +78,9 @@ class ColorFlowGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "split_beads", tuple(self.split_beads))
-        object.__setattr__(
-            self,
-            "edges",
-            {
-                (t, k): u if type(u) is Fraction else Fraction(u)
-                for (t, k), u in dict(self.edges).items()
-            },
-        )
+        edges = {(t, k): u if type(u) is Fraction else Fraction(u)
+                 for (t, k), u in dict(self.edges).items()}
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "alpha", dict(self.alpha))
 
 
@@ -265,24 +258,19 @@ def _color_graph(
 ) -> _IntGraph:
     """``build_flow_graph`` from color j's shares, amounts in units of 1/d.
     The shares must be fair, as checked where their splitting entered, so
-    each alpha is an exact integer >= 0, and 0 for a thief with no split edge."""
+    each alpha is an exact integer >= 0: 0 for a thief with no split edge,
+    and below the edge count of one with some, as no edge is a whole bead."""
     q = neck.q
     rj = neck.r[j - 1]
     edges = {e: shares[e] for e in _split_edges(shares)}
     split_beads = tuple(dict.fromkeys(k for _, k in edges))
     shared: dict[int, int] = {}
-    degree: dict[int, int] = {}
     for (t, _), amt in edges.items():
         shared[t] = shared.get(t, 0) + amt
-        degree[t] = degree.get(t, 0) + 1
     alpha = dict.fromkeys(range(1, q + 1), 0)
     for t, total in shared.items():
         # total/d - r_j/q = alpha
         alpha[t] = (total * q - rj * d) // (d * q)
-        if degree[t] < alpha[t] + 1:
-            raise InternalInvariantError(
-                f"thief {t} has {degree[t]} split-bead edges but alpha={alpha[t]}"
-            )
     return _IntGraph(j, q, rj, d, split_beads, edges, alpha)
 
 
@@ -387,17 +375,13 @@ def _rebuilt_runs(
 
 def _round_color(g: _IntGraph, advantaged: Collection[int]) -> dict[int, int] | None:
     """Bead -> thief by the b-factor b(t) = alpha_t + [t advantaged],
-    b(bead) = 1, once g passes the flow equalities and the shape rule of
-    its remainder case g.r; None when g has a cycle.  One leaf peel
-    (``find_b_factor``) finds both the cycle and the factor.
+    b(bead) = 1, once g, which meets the flow equalities, passes the shape
+    rule of its remainder case g.r; None when g has a cycle.  One leaf
+    peel (``find_b_factor``) finds both the cycle and the factor.
 
     It is unique: two different b-factors of a forest would differ on a
     nonempty edge set with every degree even, and so on a cycle.
     """
-    if not _flow_ok(g):
-        raise PreconditionError(
-            f"color {g.color}: edge amounts do not satisfy the flow equalities"
-        )
     owner, cyclic, stuck = find_b_factor(g.edges, g.alpha, advantaged)
     if cyclic:
         return None
@@ -438,8 +422,9 @@ def _round_forest(g: _IntGraph, advantaged: Collection[int]) -> dict[int, int]:
 def _checked(
     g: ColorFlowGraph, r: int, thief: int | None = None, who: str = "thief"
 ) -> _IntGraph:
-    """g in integer units, once its remainder is r, ``thief`` lies in 1..q
-    and every edge joins a thief in 1..q to a split bead."""
+    """g in integer units, once its remainder is r, ``thief`` lies in 1..q,
+    every edge joins a thief in 1..q to a split bead, and the amounts meet
+    the flow equalities (``_flow_ok``)."""
     if g.r != r:
         raise PreconditionError(
             f"this rounding handles r={r}, got r={g.r} for color {g.color}"
@@ -453,7 +438,12 @@ def _checked(
             f"color {g.color}: edge {off[0]} does not join a thief in 1..{g.q} "
             "to a split bead"
         )
-    return _scaled(g)
+    scaled = _scaled(g)
+    if not _flow_ok(scaled):
+        raise PreconditionError(
+            f"color {g.color}: edge amounts do not satisfy the flow equalities"
+        )
+    return scaled
 
 
 def round_color_r0(g: ColorFlowGraph) -> dict[int, int]:
@@ -491,7 +481,7 @@ def split_with_advantages(
     """
     adv = normalize_advantages(neck, advantages)
     q = neck.q
-    bad = {j: rj for j, rj in remainders(neck).items() if rj not in (0, 1, q - 1)}
+    bad = {j: rj for j, rj in enumerate(neck.r, start=1) if rj not in (0, 1, q - 1)}
     if bad:
         offending = ", ".join(f"color {j} has r={rj}" for j, rj in sorted(bad.items()))
         raise PreconditionError(
@@ -503,9 +493,17 @@ def split_with_advantages(
         cuts = len(switches)
     else:
         violations, d, alloc = _continuous_violations(neck, continuous)
-        if violations:
-            raise PreconditionError("the supplied continuous splitting is not fair")
         cuts = len(continuous.cuts)
+        if violations:
+            # a fair splitting may still be malformed or over the cut bound
+            if {"bead sums", "fairness"} & set(violations):
+                fault = "is not fair"
+            elif "shape" in violations:
+                fault = (f"is malformed: its cuts must rise strictly inside (0, {neck.n}) "
+                         f"and its owners lie in 1..{q}, each differing from the next")
+            else:
+                fault = f"has {cuts} cuts, over the cut bound (q-1)m = {(q - 1) * neck.m}"
+            raise PreconditionError(f"the supplied continuous splitting {fault}")
     owner, cuts = _round_allocation(neck, adv, d, alloc, cuts)
     split = DiscreteSplitting(owner)
     violations = _discrete_violations(neck, adv, split)
@@ -559,10 +557,6 @@ class ImpossibilityReport:
     target: frozenset[int]
     target_reachable: bool
 
-    def reachable(self, advantaged: frozenset[int] | set[int]) -> bool:
-        want = frozenset(advantaged)
-        return any(adv == want for _, adv in self.outcomes)
-
 
 def demonstrate_r2_failure() -> ImpossibilityReport:
     """Why the rounding technique stops at r_j = 2 when q = 4.
@@ -582,22 +576,22 @@ def demonstrate_r2_failure() -> ImpossibilityReport:
     )
     if verify_continuous(neck, cont):
         raise InternalInvariantError("the fixed scenario must be fair")
-    alloc = cont.allocation(neck)
+    d, alloc = cont.scaled_allocation(neck)
     sharers = {
-        k: sorted(t for (t, kk), amt in alloc.items() if kk == k and 0 < amt < 1)
+        k: sorted(t for (t, kk), amt in alloc.items() if kk == k and 0 < amt < d)
         for k in (1, 2)
     }
-    outcomes = []
-    for t1, t2 in itertools.product(sharers[1], sharers[2]):
-        assignment = ((1, t1), (2, t2))
-        outcomes.append((assignment, frozenset({t1, t2})))
+    outcomes = tuple(
+        (((1, t1), (2, t2)), frozenset({t1, t2}))
+        for t1, t2 in itertools.product(sharers[1], sharers[2])
+    )
     target = frozenset({1, 2})
     return ImpossibilityReport(
         beads=neck.beads,
         q=neck.q,
         cuts=cont.cuts,
         owners=cont.owners,
-        outcomes=tuple(outcomes),
+        outcomes=outcomes,
         target=target,
         target_reachable=any(adv == target for _, adv in outcomes),
     )

@@ -109,30 +109,6 @@ class SignVector:
             out[i - 1] = MINUS
         return tuple(out)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.plus and not self.minus
-
-    @property
-    def support(self) -> frozenset[int]:
-        return self.plus | self.minus
-
-    def sign_of(self, i: int) -> int:
-        if i in self.plus:
-            return PLUS
-        if i in self.minus:
-            return MINUS
-        return ZERO
-
-    def first_sign(self) -> int:
-        """Sign of the first nonzero entry (0 for the zero vector)."""
-        if self.is_zero:
-            return ZERO
-        return self.sign_of(min(self.support))
-
-    def __neg__(self) -> "SignVector":
-        return SignVector(self.n, self.minus, self.plus)
-
     def __str__(self) -> str:
         return "".join(_SIGN_TO_CHAR[e] for e in self.entries)
 

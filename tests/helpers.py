@@ -76,8 +76,8 @@ def canonical_colorings(n: int, max_m: int) -> Iterator[tuple[int, ...]]:
 def fraction_allocation_oracle(cont, neck) -> dict[tuple[int, int], Fraction]:
     """(thief, bead) -> amount, by a segment walk in Fractions.
 
-    The reference for ``ContinuousSplitting.allocation``, which computes
-    the same map in integer units of 1/d.
+    The reference for ``ContinuousSplitting.scaled_allocation``, which
+    computes the same map in integer units of 1/d (``scaled_fractions``).
     """
     alloc: dict[tuple[int, int], Fraction] = {}
     bounds = (Fraction(0), *cont.cuts, Fraction(neck.n))
@@ -88,6 +88,12 @@ def fraction_allocation_oracle(cont, neck) -> dict[tuple[int, int], Fraction]:
                 key = (owner, k)
                 alloc[key] = alloc.get(key, Fraction(0)) + amt
     return alloc
+
+
+def scaled_fractions(cont, neck) -> dict[tuple[int, int], Fraction]:
+    """``cont.scaled_allocation(neck)`` with each amount divided by its d."""
+    d, alloc = cont.scaled_allocation(neck)
+    return {key: Fraction(amt, d) for key, amt in alloc.items()}
 
 
 def flow_equalities_oracle(g) -> bool:

@@ -44,7 +44,6 @@ PUBLIC_API = [
     "normalize_advantages",
     "pair_split_from_json",
     "pair_split_to_json",
-    "remainders",
     "round_color_r0",
     "round_color_r1",
     "round_color_rq1",

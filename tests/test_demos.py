@@ -15,7 +15,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(script)],
+        # -W error, as pytest's own filter: a deprecation fails the demo
+        [sys.executable, "-W", "error", str(script)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr

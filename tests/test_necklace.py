@@ -20,13 +20,17 @@ from fairsplit.necklace import (
     _continuous_schedule,
     _first_owner,
     normalize_advantages,
-    remainders,
     search_continuous,
     search_discrete,
     verify_continuous,
     verify_discrete,
 )
-from helpers import canonical_colorings, first_owner_list_rule, fraction_allocation_oracle
+from helpers import (
+    canonical_colorings,
+    first_owner_list_rule,
+    fraction_allocation_oracle,
+    scaled_fractions,
+)
 
 F = Fraction
 
@@ -43,10 +47,9 @@ def discrete_oracle_min_cuts(neck, advantages):
 
 def advantage_specs(neck):
     """Every advantage assignment for the necklace's nonzero remainders."""
-    r = remainders(neck)
-    live = [j for j in sorted(r) if r[j] != 0]
+    live = [j for j, rj in enumerate(neck.r, start=1) if rj != 0]
     pools = [
-        [frozenset(c) for c in itertools.combinations(range(1, neck.q + 1), r[j])]
+        [frozenset(c) for c in itertools.combinations(range(1, neck.q + 1), neck.r[j - 1])]
         for j in live
     ]
     for choice in itertools.product(*pools):
@@ -58,9 +61,8 @@ def advantage_specs(neck):
 def test_necklace_counts_and_remainders():
     neck = Necklace((1, 1, 1, 1), 3)
     assert neck.a == (4,) and neck.r == (1,)
-    assert remainders(neck) == {1: 1}
-    assert remainders(Necklace((1, 1, 1, 1, 1), 3)) == {1: 2}
-    assert remainders(Necklace((1, 2, 1, 2), 2)) == {1: 0, 2: 0}
+    assert Necklace((1, 1, 1, 1, 1), 3).r == (2,)
+    assert Necklace((1, 2, 1, 2), 2).r == (0, 0)
 
 
 def test_necklace_validation():
@@ -246,14 +248,11 @@ def test_first_owner_twin_rule_matches_list_rule():
 def test_allocation_and_owner_sequence():
     neck = Necklace((1, 2, 1), 2)
     cont = ContinuousSplitting(cuts=(F(3, 2),), owners=(1, 2))
-    assert cont.allocation(neck) == {
-        (1, 1): F(1),
-        (1, 2): F(1, 2),
-        (2, 2): F(1, 2),
-        (2, 3): F(1),
-    }
-    # keys bead by bead, each bead's owners in left-to-right order
-    assert list(cont.scaled_allocation(neck)[1]) == [(1, 1), (1, 2), (2, 2), (2, 3)]
+    # amounts in halves; keys bead by bead, each bead's owners in
+    # left-to-right order
+    d, alloc = cont.scaled_allocation(neck)
+    assert d == 2
+    assert list(alloc.items()) == [((1, 1), 2), ((1, 2), 1), ((2, 2), 1), ((2, 3), 2)]
     assert verify_continuous(neck, cont) == []
 
 
@@ -263,7 +262,7 @@ def test_allocation_matches_fraction_oracle_on_search_output():
             for q in (2, 3, 4):
                 neck = Necklace(colors, q)
                 cont = search_continuous(neck)
-                assert cont.allocation(neck) == fraction_allocation_oracle(
+                assert scaled_fractions(cont, neck) == fraction_allocation_oracle(
                     cont, neck
                 ), (colors, q)
 
@@ -290,7 +289,7 @@ def test_allocation_matches_fraction_oracle_on_mixed_denominators():
         )
         owners = tuple(rng.randint(1, q) for _ in range(len(cuts) + 1))
         cont = ContinuousSplitting(cuts=tuple(cuts), owners=owners)
-        assert cont.allocation(neck) == fraction_allocation_oracle(cont, neck), (
+        assert scaled_fractions(cont, neck) == fraction_allocation_oracle(cont, neck), (
             colors,
             cont,
         )

@@ -7,10 +7,12 @@ preserve every thief's per-color totals on a sweep.
 
 import functools
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from fairsplit.errors import (
     InternalInvariantError,
     PreconditionError,
 )
+from fairsplit.jsonio import load_instance
 from fairsplit.necklace import (
     ContinuousSplitting,
     Necklace,
@@ -45,10 +48,12 @@ from helpers import (
     fraction_allocation_oracle,
     find_b_factor as flow_b_factor,
     flow_equalities_oracle,
+    scaled_fractions,
     union_find_is_forest,
 )
 
 F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def flow_ok(g):
@@ -253,8 +258,8 @@ def test_cancel_cycles_preserves_per_color_totals():
                     g = build_flow_graph(out, neck, j)
                     assert flow_equalities_oracle(g)
                     assert union_find_is_forest(g.edges)
-                before = cont.allocation(neck)
-                after = out.allocation(neck)
+                before = fraction_allocation_oracle(cont, neck)
+                after = fraction_allocation_oracle(out, neck)
                 for t in range(1, q + 1):
                     for j in range(1, neck.m + 1):
                         tot_b = sum(
@@ -294,7 +299,7 @@ def halves_of_shares(neck, rng):
 
 def thief_color_totals(neck, cont):
     totals = {}
-    for (t, k), amt in cont.allocation(neck).items():
+    for (t, k), amt in fraction_allocation_oracle(cont, neck).items():
         key = (t, neck.beads[k - 1])
         totals[key] = totals.get(key, 0) + amt
     return totals
@@ -312,7 +317,7 @@ def test_cancel_cycles_on_pieces_of_one_over_2q():
                 assert verify_continuous(neck, out) in ([], ["cut bound"])
                 assert len(out.cuts) <= len(cont.cuts)
                 assert thief_color_totals(neck, out) == thief_color_totals(neck, cont)
-                assert out.allocation(neck) == fraction_allocation_oracle(out, neck)
+                assert scaled_fractions(out, neck) == fraction_allocation_oracle(out, neck)
                 for j in range(1, neck.m + 1):
                     g = build_flow_graph(out, neck, j)
                     assert flow_equalities_oracle(g), (colors, q, j)
@@ -713,6 +718,26 @@ def test_pipeline_rejects_unfair_continuous():
         split_with_advantages(neck, None, continuous=lopsided)
 
 
+def test_pipeline_names_the_clause_a_fair_splitting_fails():
+    # both splittings are fair, so "not fair" would misname the fault
+    neck = Necklace((1, 1), 2)
+    over = ContinuousSplitting(cuts=(F(1, 2), F(3, 2)), owners=(1, 2, 1))
+    assert verify_continuous(neck, over) == ["cut bound"]
+    with pytest.raises(PreconditionError) as caught:
+        split_with_advantages(neck, None, continuous=over)
+    assert str(caught.value) == (
+        "the supplied continuous splitting has 2 cuts, over the cut bound (q-1)m = 1"
+    )
+    repeated = ContinuousSplitting(cuts=(F(1, 2), F(1)), owners=(1, 1, 2))
+    assert verify_continuous(neck, repeated) == ["shape", "cut bound"]
+    with pytest.raises(PreconditionError) as caught:
+        split_with_advantages(neck, None, continuous=repeated)
+    assert str(caught.value) == (
+        "the supplied continuous splitting is malformed: its cuts must rise strictly "
+        "inside (0, 2) and its owners lie in 1..2, each differing from the next"
+    )
+
+
 def test_pipeline_rejects_cut_past_the_end():
     neck = Necklace((1, 1, 2, 2), 2)
     past = ContinuousSplitting(cuts=(F(5),), owners=(1, 2))
@@ -772,7 +797,7 @@ def pipeline_reference(neck, cont):
     fair continuous splitting, rebuilt from the public Fraction-facing
     stages; the rounding alone depends on the advantage assignment."""
     cont = cancel_cycles(cont, neck)
-    whole = {k: t for (t, k), amt in cont.allocation(neck).items() if amt == 1}
+    whole = {k: t for (t, k), amt in fraction_allocation_oracle(cont, neck).items() if amt == 1}
     graphs = [build_flow_graph(cont, neck, j) for j in range(1, neck.m + 1)]
 
     def owner_and_cuts(spec):
@@ -842,7 +867,8 @@ def test_pipeline_matches_public_stages_on_sweep():
                     supplied.append(halves_of_shares(neck, rng))
                 for cont in (None, *supplied):
                     if cont is not None and verify_continuous(neck, cont):
-                        with pytest.raises(PreconditionError, match="not fair"):
+                        # the 1/(2q) pieces are fair: only the cut bound fails
+                        with pytest.raises(PreconditionError, match="over the cut bound"):
                             split_with_advantages(neck, specs[0], continuous=cont)
                         rejected += 1
                         continue
@@ -920,6 +946,44 @@ def test_pipeline_peels_an_acyclic_color_once(monkeypatch):
     assert len(calls) == neck.m
 
 
+def test_flow_equalities_checked_only_on_graphs_from_outside(monkeypatch):
+    # the pipeline's sharing graphs come from shares checked fair where the
+    # splitting entered, so only a graph handed to a rounder is flow-checked
+    calls = []
+    original = rounding._flow_ok
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(rounding, "_flow_ok", counted)
+    for name, q in (("necklace_q3.json", None), ("necklace_no_q.json", 2)):
+        inst = load_instance(json.loads((FIXTURES / name).read_text()))
+        neck = inst.necklace(q)
+        split = split_with_advantages(neck, inst.advantages)
+        assert verify_discrete(neck, inst.advantages, split) == [], name
+    # a fair split within the bound whose color 1 is a 4-cycle
+    neck = Necklace((1, 1, 2, 1, 2), 2)
+    cyclic = ContinuousSplitting(cuts=(F(5, 4), F(15, 4)), owners=(1, 2, 1))
+    assert verify_continuous(neck, cyclic) == []
+    assert cancel_cycles(cyclic, neck) is not cyclic
+    split_with_advantages(neck, {1: [2]}, continuous=cyclic)
+    assert calls == []
+
+    neck = Necklace((1,) * 4 + (2,) * 3 + (3,) * 5, 3)
+    assert neck.r == (1, 0, 2)
+    cont = cancel_cycles(search_continuous(neck), neck)
+    graphs = [build_flow_graph(cont, neck, j) for j in (1, 2, 3)]
+    for rounder, args in [
+        (round_color_r1, (graphs[0], 1)),
+        (round_color_r0, (graphs[1],)),
+        (round_color_rq1, (graphs[2], 1)),
+    ]:
+        calls.clear()
+        rounder(*args)
+        assert len(calls) == 1, rounder.__name__
+
+
 # === the r=2 wall ===
 
 def test_r2_demo_report():
@@ -935,5 +999,4 @@ def test_r2_demo_report():
     }
     assert report.target == frozenset({1, 2})
     assert not report.target_reachable
-    assert not report.reachable({1, 2})
-    assert report.reachable({1, 3}) and report.reachable({2, 4})
+    assert report.target not in advantaged

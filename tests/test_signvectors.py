@@ -144,6 +144,16 @@ def precedes_oracle(x: SignVector, y: SignVector) -> bool:
     return x.plus <= y.plus and x.minus <= y.minus
 
 
+def first_sign_oracle(x: SignVector) -> int:
+    """Sign of the first nonzero entry of x, 0 for the zero vector."""
+    return next((e for e in x.entries if e), 0)
+
+
+def negation_oracle(x: SignVector) -> SignVector:
+    """x with its + and - entries swapped."""
+    return SignVector(x.n, x.minus, x.plus)
+
+
 def all_vectors(n):
     return [
         SignVector.from_entries(entries)
@@ -181,7 +191,7 @@ def test_alt_matches_bruteforce_up_to_n5():
         for code in range(3**n):
             x = vector_from_code(code, n)
             assert runs[code] == alt_oracle(x.entries), str(x)
-            assert first[code] == x.first_sign(), str(x)
+            assert first[code] == first_sign_oracle(x), str(x)
 
 
 def test_alt_bounded_by_support_with_equality_iff_alternating():
@@ -202,7 +212,7 @@ def test_runs_match_alt_oracle_and_first_sign_up_to_n6():
             x = vector_from_code(code, n)
             alt = alt_oracle(x.entries)
             assert runs[code] == alt, str(x)
-            assert signed[code] == x.first_sign() * alt, str(x)
+            assert signed[code] == first_sign_oracle(x) * alt, str(x)
 
 
 def test_negation_table_negates_every_code_up_to_n6():
@@ -210,7 +220,8 @@ def test_negation_table_negates_every_code_up_to_n6():
         neg = _negation_table(n)
         assert neg.dtype == np.int64 and neg.shape == (3**n,)
         for code in range(3**n):
-            assert neg[code] == vector_code(-vector_from_code(code, n)), (n, code)
+            want = vector_code(negation_oracle(vector_from_code(code, n)))
+            assert neg[code] == want, (n, code)
 
 
 # === precedes ===
@@ -329,7 +340,7 @@ def test_lambda_antipodal_and_table_agreement():
         labels = assert_matches_saturation_oracle(classes, n)
         for code in range(1, 3**n):
             x = vector_from_code(code, n)
-            assert labels[vector_code(-x)] == -labels[code], (classes, str(x))
+            assert labels[vector_code(negation_oracle(x))] == -labels[code], (classes, str(x))
 
 
 def test_lambda_labels_within_t_plus_m():
@@ -417,7 +428,7 @@ def test_labels_ignore_vertex_order_on_seeded_partitions():
 # === tucker_verify ===
 
 def complementary_pairs_oracle(labeling, n) -> int:
-    vecs = [x for x in all_vectors(n) if not x.is_zero]
+    vecs = [x for x in all_vectors(n) if x.plus or x.minus]
     return sum(
         1
         for x in vecs
@@ -447,7 +458,9 @@ def pair_scan_oracle(labels, n) -> set:
 
 
 def negation_codes(n) -> np.ndarray:
-    return np.array([vector_code(-vector_from_code(c, n)) for c in range(3**n)])
+    return np.array(
+        [vector_code(negation_oracle(vector_from_code(c, n))) for c in range(3**n)]
+    )
 
 
 def assert_matches_pair_scan(labels, n, s):
@@ -470,9 +483,9 @@ def random_labeling(rng, n, s, antipodal):
     labels = rng.integers(1, s + 1, size=3**n) * rng.choice([-1, 1], size=3**n)
     neg = negation_codes(n)
     y = vector_from_code(int(rng.integers(1, 3**n)), n)
-    while len(y.support) < 2:
+    while len(y.plus | y.minus) < 2:
         y = vector_from_code(int(rng.integers(1, 3**n)), n)
-    i = min(y.support)
+    i = min(y.plus | y.minus)
     x, y = vector_code(SignVector(n, y.plus - {i}, y.minus - {i})), vector_code(y)
     labels[x] = -labels[y]
     if antipodal:
@@ -515,7 +528,7 @@ def test_tucker_reports_first_antipodality_violation():
         rep = assert_matches_pair_scan(labels, n, t + len(classes))
         assert not rep.antipodal and not rep.ok
         # the lower code of the broken pair {x, -x} is reported
-        neg = vector_code(-vector_from_code(code, n))
+        neg = vector_code(negation_oracle(vector_from_code(code, n)))
         assert rep.antipodal_violation == vector_from_code(min(code, neg), n)
 
 
@@ -549,7 +562,7 @@ def test_tucker_first_sign_labeling_count_and_witness(n):
     if n <= 6:
         assert rep.complementary_pairs == len(pair_scan_oracle(labels, n))
     x, y = rep.complementary_pair
-    assert precedes_oracle(x, y) and x.first_sign() == -y.first_sign()
+    assert precedes_oracle(x, y) and first_sign_oracle(x) == -first_sign_oracle(y)
 
 
 def test_tucker_single_coordinate_ok():
@@ -564,7 +577,7 @@ def test_tucker_single_coordinate_ok():
 
 def test_tucker_finds_complementary_pair_in_first_sign_labeling():
     # n=2 with s=1 must fail: the lemma needs s >= n
-    labeling = {x: x.first_sign() for x in all_vectors(2) if not x.is_zero}
+    labeling = {x: first_sign_oracle(x) for x in all_vectors(2) if x.plus or x.minus}
     labels = np.zeros(9, dtype=np.int64)
     for x, label in labeling.items():
         labels[vector_code(x)] = label
